@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/bench_report.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
@@ -83,12 +82,11 @@ evalExperiment(const std::string &workload, core::Policy policy,
     exp.workload = workload;
     exp.policy = policy;
     exp.params = harness::defaultEvalParams();
-    exp.oversubscribed = oversubscribed;
     if (oversubscribed) {
         // Our kernels are shorter than the paper's testbed runs; the
         // pre-emption point scales accordingly (mid-run, as in §VI).
         exp.params.iters = 16;
-        exp.runCfg.cuLossMicroseconds = 10;
+        exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10);
     }
     return exp;
 }
@@ -106,16 +104,13 @@ evalRun(const std::string &workload, core::Policy policy,
  * Execute every experiment queued on @p sweep (worker count from
  * IFP_BENCH_JOBS) and print the per-bench wall-clock/speedup line to
  * stderr. Results come back in submission order, so tables built
- * from them are byte-identical to a serial run. When
- * IFP_BENCH_JSON_OUT is set, the sweep's perf record also lands in
- * the machine-readable BENCH_*.json report (harness/bench_report.hh).
+ * from them are byte-identical to a serial run.
  */
 inline const std::vector<core::RunResult> &
 runSweep(harness::SweepRunner &sweep, const std::string &label)
 {
     const std::vector<core::RunResult> &results = sweep.run();
     sweep.reportPerf(label);
-    harness::BenchReport::instance().addSweep(label, sweep);
     return results;
 }
 

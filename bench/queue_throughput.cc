@@ -1,7 +1,7 @@
 /**
  * @file
  * Queue-family throughput and resume-prediction accuracy sweep
- * (DESIGN.md §14, EXPERIMENTS.md).
+ * (DESIGN.md §12, EXPERIMENTS.md).
  *
  * The concurrent-queue workloads block WGs on *data* conditions
  * (slot sequence numbers, drain counters) whose values climb with

@@ -30,7 +30,6 @@ main()
     const std::vector<std::string> admissions = {"serial", "share",
                                                  "priority"};
     std::vector<harness::ServingReport> reports;
-    std::vector<harness::BenchReport::ExternalPoint> points;
 
     for (const std::string &admission : admissions) {
         harness::ServingConfig cfg;
@@ -49,16 +48,6 @@ main()
             std::chrono::duration<double>(t1 - t0).count();
         std::fprintf(stderr, "serving/%s: %.2fs\n", admission.c_str(),
                      seconds);
-
-        harness::BenchReport::ExternalPoint point;
-        point.workload = "mix20";
-        point.policy = admission;
-        point.completed = report.allCompleted;
-        point.seconds = seconds;
-        point.gpuCycles = report.makespanCycles;
-        point.hostEvents = report.run.hostEvents;
-        point.memRequests = report.run.memRequests;
-        points.push_back(std::move(point));
         reports.push_back(std::move(report));
     }
 
@@ -79,8 +68,5 @@ main()
                  "cost of preempting resident batch work — the WG "
                  "drain/context-save machinery the paper builds for "
                  "oversubscription, reused for multi-tenant serving.\n";
-
-    harness::BenchReport::instance().addExternalSweep(
-        "serving_scenario/admission", points);
     return 0;
 }

@@ -26,10 +26,10 @@ runScenario(const std::string &benchmark, ifp::core::Policy policy)
     ifp::harness::Experiment exp;
     exp.workload = benchmark;
     exp.policy = policy;
-    exp.oversubscribed = true;
     exp.params = ifp::harness::defaultEvalParams();
-    exp.params.iters = 16;               // long enough to be mid-run
-    exp.runCfg.cuLossMicroseconds = 10;  // when CU 7 is lost
+    exp.params.iters = 16;  // long enough to be mid-run
+    // CU 7 (the last) is lost at t=10us.
+    exp.runCfg.faultPlan = ifp::core::FaultPlan::cuLoss(10);
     return ifp::harness::runExperiment(exp);
 }
 

@@ -39,10 +39,9 @@ makeExperiment(const std::string &workload, ifp::core::Policy policy,
     exp.workload = workload;
     exp.policy = policy;
     exp.params = ifp::harness::defaultEvalParams();
-    exp.oversubscribed = oversubscribed;
     if (oversubscribed) {
         exp.params.iters = 16;
-        exp.runCfg.cuLossMicroseconds = 10;
+        exp.runCfg.faultPlan = ifp::core::FaultPlan::cuLoss(10);
     }
     return exp;
 }

@@ -53,6 +53,15 @@ FaultPlan::maxCuId() const
     return max_id;
 }
 
+bool
+FaultPlan::losesCu() const
+{
+    return std::any_of(events.begin(), events.end(),
+                       [](const FaultEvent &ev) {
+                           return ev.kind == FaultKind::CuOffline;
+                       });
+}
+
 FaultPlan
 FaultPlan::cuLoss(std::uint64_t loss_us, std::uint64_t restore_us,
                   int cu_id)

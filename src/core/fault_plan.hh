@@ -81,16 +81,19 @@ struct FaultPlan
     /** Largest CU id referenced by a churn event, or -1. */
     int maxCuId() const;
 
+    /**
+     * Whether the plan takes a CU offline: the run is oversubscribed
+     * (the "oversubscribed" results field and the {scenario} path
+     * placeholder).
+     */
+    bool losesCu() const;
+
     bool operator==(const FaultPlan &) const = default;
 
     /**
      * The §VI oversubscription scenario as a plan: CU @p cu_id (-1 =
      * last) goes offline @p loss_us microseconds after launch and,
      * when @p restore_us > @p loss_us, comes back at @p restore_us.
-     * This factory replaces the legacy RunConfig quartet
-     * (oversubscribed / cuLossMicroseconds / cuRestoreMicroseconds /
-     * offlineCuId); the old fields still work as a deprecated
-     * forwarding shim built on this factory.
      */
     static FaultPlan cuLoss(std::uint64_t loss_us,
                             std::uint64_t restore_us = 0,

@@ -1,13 +1,9 @@
 #include "core/gpu_system.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "analysis/lint.hh"
 #include "sim/logging.hh"
@@ -54,12 +50,6 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
     : cfg(run_cfg)
 {
     int num_cus = static_cast<int>(cfg.gpu.numCus);
-    if (cfg.offlineCuId < -1 || cfg.offlineCuId >= num_cus) {
-        throw std::invalid_argument(
-            "RunConfig::offlineCuId " +
-            std::to_string(cfg.offlineCuId) + " out of range for a " +
-            std::to_string(num_cus) + "-CU machine (-1 = last CU)");
-    }
     for (const FaultEvent &ev : cfg.faultPlan.events) {
         if (ev.kind != FaultKind::CuOffline &&
             ev.kind != FaultKind::CuOnline)
@@ -150,75 +140,6 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
         if (monitor)
             monitor->setSchedOracle(cfg.schedOracle);
     }
-
-    setupShardDomains();
-}
-
-void
-GpuSystem::setupShardDomains()
-{
-    if (cfg.shards <= 1)
-        return;
-
-    const mem::L2Config &l2 = cfg.gpu.l2;
-    const mem::DramConfig &dr = cfg.gpu.dram;
-    std::size_t sets =
-        l2.sizeBytes / (std::size_t{l2.assoc} * l2.lineBytes);
-    if (l2.banks != dr.channels || l2.lineBytes != dr.interleaveBytes ||
-        sets % l2.banks != 0) {
-        sim::warnImpl(
-            "shards=%u requested but the memory geometry does not "
-            "shard (L2 banks=%u DRAM channels=%u, lineBytes=%u "
-            "interleaveBytes=%u, sets=%zu): running the serial core",
-            cfg.shards, l2.banks, dr.channels, l2.lineBytes,
-            dr.interleaveBytes, sets);
-        return;
-    }
-
-    // Lookahead: every bank->root message is a finish edge carrying
-    // the L2 hit latency, so that latency (in ticks) is the minimum
-    // upward delay the conservative scheduler may rely on.
-    sim::Tick lookahead = l2.hitLatency * l2.clockPeriod;
-
-    // Executor threads: no more than one per domain, and never more
-    // than the hardware budget left after the sweep workers took
-    // their share. Thread count never changes simulated results, so
-    // clamping is purely a scheduling decision.
-    unsigned threads = std::min(cfg.shards, l2.banks + 1);
-    if (std::getenv("IFP_SHARDS_NO_CLAMP") == nullptr) {
-        unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-        unsigned ext = std::max(1u, sim::externalConcurrency());
-        unsigned budget = std::max(1u, hw / ext);
-        if (threads > budget) {
-            static std::atomic<bool> noted{false};
-            if (!noted.exchange(true)) {
-                std::fprintf(stderr,
-                             "[shards] clamping in-run executors from "
-                             "%u to %u (%u hardware threads / %u "
-                             "sweep workers)\n",
-                             threads, budget, hw, ext);
-            }
-            threads = budget;
-        }
-    }
-
-    scheduler =
-        std::make_unique<sim::DomainScheduler>(lookahead, threads);
-    sim::EventDomain &root = scheduler->addDomain("root", 0, &eq);
-    std::vector<sim::EventDomain *> bank_domains;
-    std::vector<sim::EventQueue *> channel_queues;
-    std::vector<mem::MemRequestPool *> bank_pools;
-    for (unsigned b = 0; b < l2.banks; ++b) {
-        sim::EventDomain &d =
-            scheduler->addDomain("mem" + std::to_string(b), 1);
-        bank_domains.push_back(&d);
-        channel_queues.push_back(&d.queue());
-        shardPools.push_back(std::make_unique<mem::MemRequestPool>());
-        bank_pools.push_back(shardPools.back().get());
-    }
-    l2cache->bindShardDomains(root, bank_domains, bank_pools);
-    dram->bindShardQueues(channel_queues);
-    scheduler->start();
 }
 
 GpuSystem::~GpuSystem() = default;
@@ -378,20 +299,14 @@ GpuSystem::finishRun(const Validator &validator)
     std::uint64_t last_sig = progress_sig();
     sim::Tick next_check = window;
     while (!kernelDone) {
-        if (scheduler)
-            scheduler->runUntil(next_check);
-        else
-            eq.simulate(next_check);
+        eq.simulate(next_check);
         if (kernelDone)
             break;
         // Sample at the window boundary, not curTick(): the queue's
         // clock only advances when events execute, so a fully asleep
         // machine would otherwise freeze the oracle's held-clocks.
-        // In shard mode the executors are parked between runUntil()
-        // calls, so the probes read a quiescent, serial-consistent
-        // machine state.
         oracle.sample(next_check, waiterProbes(), retryActivity());
-        if (scheduler ? scheduler->allIdle() : eq.empty()) {
+        if (eq.empty()) {
             // Nothing can ever happen again: stranded WGs.
             result.deadlocked = true;
             result.verdict = oracle.finalizeStall(true);
@@ -430,13 +345,6 @@ GpuSystem::finishRun(const Validator &validator)
     // and publish the per-reason totals as dispatcher stats.
     dispatch->accumulateWgCycleStats(result.runTicks);
 
-    if (scheduler) {
-        // Executors are parked; fold the bank/channel-context stat
-        // shadows into the root Scalars before anyone reads them.
-        l2cache->foldShardStats();
-        dram->foldShardStats();
-    }
-
     harvest(result);
 
     if (result.completed && validator) {
@@ -458,36 +366,6 @@ void
 GpuSystem::scheduleFaults()
 {
     faultsApplied = 0;
-    if (cfg.oversubscribed) {
-        static std::atomic<bool> deprecationWarned{false};
-        if (!deprecationWarned.exchange(true)) {
-            sim::warnImpl(
-                "RunConfig::oversubscribed / cuLossMicroseconds / "
-                "cuRestoreMicroseconds / offlineCuId are deprecated; "
-                "use RunConfig::faultPlan = FaultPlan::cuLoss(lossUs, "
-                "restoreUs, cuId)");
-        }
-        // Forwarding shim: the quartet folds into the cuLoss()
-        // factory, but the events are scheduled exactly as before the
-        // fault engine existed (same descriptions, no fault counting,
-        // no FaultInjected trace) so historic runs stay byte-identical.
-        FaultPlan legacy = FaultPlan::cuLoss(cfg.cuLossMicroseconds,
-                                             cfg.cuRestoreMicroseconds,
-                                             cfg.offlineCuId);
-        for (const FaultEvent &ev : legacy.events) {
-            unsigned victim = resolveCuId(ev.cuId);
-            sim::Tick when = sim::ticksFromMicroseconds(ev.atUs);
-            if (ev.kind == FaultKind::CuOffline) {
-                eq.schedule(when, [this, victim] {
-                    dispatch->offlineCu(victim);
-                }, "cuLoss");
-            } else {
-                eq.schedule(when, [this, victim] {
-                    dispatch->onlineCu(victim);
-                }, "cuRestore");
-            }
-        }
-    }
     for (const FaultEvent &ev : cfg.faultPlan.events) {
         sim::Tick at = sim::ticksFromMicroseconds(ev.atUs);
         eq.schedule(at, [this, ev] { applyFault(ev, true); },
@@ -695,11 +573,8 @@ GpuSystem::harvest(RunResult &result) const
             s.scalar("mispredictedResumes").value());
     }
 
-    result.hostEvents =
-        scheduler ? scheduler->numExecuted() : eq.numExecuted();
+    result.hostEvents = eq.numExecuted();
     result.memRequests = pool.totalAllocations();
-    for (const auto &p : shardPools)
-        result.memRequests += p->totalAllocations();
 
     result.injectedFaults = faultsApplied;
     for (const auto &rec : dispatch->cuRecoveries()) {

@@ -7,8 +7,9 @@
  * waiting-policy controller, runs one kernel, and harvests a
  * RunResult. Also implements:
  *
- *  - the oversubscription scenario (§VI): after a configurable delay
- *    one CU is taken offline and its resident WGs are pre-empted,
+ *  - the scripted fault plan, including the oversubscription
+ *    scenario (§VI): after a configurable delay one CU is taken
+ *    offline and its resident WGs are pre-empted,
  *  - deadlock detection: the kernel is declared deadlocked when no
  *    memory value changes, no WG completes and no context switch
  *    happens for a whole detection window (busy-wait spinning does
@@ -36,7 +37,6 @@
 #include "mem/dram.hh"
 #include "mem/l1_cache.hh"
 #include "mem/l2_cache.hh"
-#include "sim/event_domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/sched_oracle.hh"
 #include "sim/trace_sink.hh"
@@ -71,35 +71,10 @@ struct RunConfig
     DispatchOptions dispatch;
 
     /**
-     * @name Deprecated §VI oversubscription quartet
-     *
-     * Superseded by `faultPlan = FaultPlan::cuLoss(lossUs, restoreUs,
-     * cuId)`. The fields keep working as a forwarding shim (built on
-     * that factory, scheduled exactly as the historic scenario so old
-     * runs stay byte-identical) and emit a single deprecation warn()
-     * per process.
-     * @{
-     */
-    /** Deprecated: run the §VI oversubscribed experiment. */
-    bool oversubscribed = false;
-    /** Deprecated: when the CU is lost, in µs after launch (paper: 50). */
-    std::uint64_t cuLossMicroseconds = 50;
-    /**
-     * Deprecated: when the lost CU becomes schedulable again (0 =
-     * never). Baseline machines still cannot recover their pre-empted
-     * WGs — restoring the CU only helps machines with WG swap-in
-     * firmware.
-     */
-    std::uint64_t cuRestoreMicroseconds = 0;
-    /** Deprecated: which CU goes offline (default: the last one). */
-    int offlineCuId = -1;
-    /// @}
-
-    /**
-     * Scripted fault-injection campaign (core/fault_plan.hh), applied
-     * on top of (and independently of) the legacy oversubscribed
-     * scenario. Every event is scheduled on the event queue before
-     * simulation starts, so runs stay byte-reproducible.
+     * Scripted fault-injection campaign (core/fault_plan.hh); the §VI
+     * oversubscribed experiment is FaultPlan::cuLoss(). Every event is
+     * scheduled on the event queue before simulation starts, so runs
+     * stay byte-reproducible.
      */
     FaultPlan faultPlan;
 
@@ -129,20 +104,6 @@ struct RunConfig
      * reduces to a null-pointer test, so untraced runs pay nothing.
      */
     bool traceEnabled = false;
-
-    /**
-     * In-run parallelism (sim/event_domain.hh). 0 means "unset": the
-     * harness resolves it from IFP_RUN_SHARDS (default 1). A value of
-     * 1 or less runs the classic serial core, byte-identical to the
-     * pre-shard simulator. 2 or more runs the conservative PDES core:
-     * the decomposition is fixed (the root domain plus one fused
-     * L2-bank/DRAM-channel domain each) and only the executor thread
-     * count varies with the value, so stats, traces and RunResults
-     * are byte-identical across every shards >= 2 setting. Executor
-     * threads are clamped to the hardware budget divided by the
-     * process's external concurrency (the sweep worker count).
-     */
-    unsigned shards = 0;
 };
 
 /** Checks the final memory image of a run. */
@@ -200,10 +161,9 @@ class GpuSystem : private gpu::KernelListener
   public:
     /**
      * Composes the machine. Throws std::invalid_argument when the
-     * scenario references a CU the machine does not have
-     * (RunConfig::offlineCuId or a fault-plan churn target out of
-     * range) — the one construction-time error a caller can usefully
-     * catch, unlike the internal ifp_fatal paths.
+     * fault plan references a CU the machine does not have (a churn
+     * target out of range) — the one construction-time error a
+     * caller can usefully catch, unlike the internal ifp_fatal paths.
      */
     explicit GpuSystem(const RunConfig &cfg);
     ~GpuSystem();
@@ -261,9 +221,6 @@ class GpuSystem : private gpu::KernelListener
     syncmon::SyncMonController *syncMon() { return monitor.get(); }
     const RunConfig &config() const { return cfg; }
 
-    /** The PDES core, or nullptr when running the serial core. */
-    sim::DomainScheduler *domainScheduler() { return scheduler.get(); }
-
     /** The run's trace sink, or nullptr when tracing is disabled. */
     const sim::TraceSink *traceSink() const { return sink.get(); }
     /// @}
@@ -284,21 +241,7 @@ class GpuSystem : private gpu::KernelListener
      * recycles into the pool. Its destructor asserts nothing leaked.
      */
     mem::MemRequestPool pool;
-    /**
-     * One pool per memory domain in shard mode (fills and writebacks
-     * born in bank context). Declared before the scheduler so the
-     * domain queues — which may hold events owning requests — are
-     * destroyed first.
-     */
-    std::vector<std::unique_ptr<mem::MemRequestPool>> shardPools;
     sim::EventQueue eq;
-    /**
-     * The PDES core (null in the classic serial mode). Declared after
-     * the queue and the pools it references, before the devices whose
-     * destructors must not outlive their event context; its own
-     * destructor joins the executor threads on this thread.
-     */
-    std::unique_ptr<sim::DomainScheduler> scheduler;
     mem::BackingStore store;
 
     std::unique_ptr<mem::Dram> dram;
@@ -338,15 +281,7 @@ class GpuSystem : private gpu::KernelListener
     /** Resolve a plan CU id (-1 = last CU) to a concrete index. */
     unsigned resolveCuId(int cu_id) const;
 
-    /**
-     * Build the domain decomposition when cfg.shards >= 2: the root
-     * domain adopts eq; each L2 bank fuses with its DRAM channel into
-     * a stage-1 domain. Falls back to the serial core (with a
-     * warning) when the memory geometry cannot be sharded.
-     */
-    void setupShardDomains();
-
-    /** Schedule the legacy scenario and cfg.faultPlan on the queue. */
+    /** Schedule cfg.faultPlan on the queue. */
     void scheduleFaults();
 
     /** Apply one fault edge (begin or end of a window). */

@@ -37,7 +37,7 @@ struct RunResult
     sim::Cycles gpuCycles = 0;   //!< runTicks in GPU clock cycles
     /// @}
 
-    /// @name Host-side work (perf baselines)
+    /// @name Host-side work (bench/e2e per-layer counts)
     /// @{
     /** Simulation events executed by the run's event queue. */
     std::uint64_t hostEvents = 0;

@@ -56,7 +56,6 @@ litmusRunConfig(const workloads::LitmusSpec &spec, core::Policy policy,
     run.policy.policy = policy;
     run.deadlockWindowCycles = cfg.deadlockWindowCycles;
     run.maxCycles = cfg.maxCycles;
-    run.shards = 1;  // schedule exploration needs the serial core
     return run;
 }
 
@@ -425,7 +424,6 @@ lintCrossCheck(const workloads::LitmusWorkload &litmus)
         // allocations, exactly like tools/ifplint.
         core::RunConfig run_cfg;
         run_cfg.gpu.numCus = spec.numCus;
-        run_cfg.shards = 1;
         core::GpuSystem scratch(run_cfg);
 
         workloads::WorkloadParams params;

@@ -26,8 +26,6 @@ runServingMix(const CampaignConfig &cfg, const core::FaultPlan &plan,
     core::RunConfig run_cfg = cfg.runCfg;
     run_cfg.policy.policy = policy;
     run_cfg.faultPlan = plan;
-    if (run_cfg.shards == 0)
-        run_cfg.shards = runShardsFromEnv();
 
     workloads::WorkloadParams params = cfg.params;
     params.style = core::styleFor(policy);

@@ -31,7 +31,7 @@ expandObservePath(const std::string &path, const Experiment &exp)
     replaceAll(out, "{workload}", exp.workload);
     replaceAll(out, "{policy}", core::policyName(exp.policy));
     replaceAll(out, "{scenario}",
-               exp.oversubscribed ? "oversub" : "steady");
+               exp.runCfg.faultPlan.losesCu() ? "oversub" : "steady");
     return out;
 }
 

@@ -39,7 +39,7 @@ writeResultJson(std::ostream &os, const Experiment &exp,
     os << "\"workload\":\"" << jsonEscape(exp.workload) << "\",";
     os << "\"policy\":\"" << core::policyName(exp.policy) << "\",";
     os << "\"oversubscribed\":"
-       << (exp.oversubscribed ? "true" : "false") << ",";
+       << (exp.runCfg.faultPlan.losesCu() ? "true" : "false") << ",";
     os << "\"numWgs\":" << exp.params.numWgs << ",";
     os << "\"wgsPerGroup\":" << exp.params.wgsPerGroup << ",";
     os << "\"iters\":" << exp.params.iters << ",";

@@ -1,23 +1,8 @@
 #include "harness/runner.hh"
 
-#include <cstdlib>
-
 #include "sim/logging.hh"
 
 namespace ifp::harness {
-
-unsigned
-runShardsFromEnv()
-{
-    if (const char *env = std::getenv("IFP_RUN_SHARDS")) {
-        char *end = nullptr;
-        long parsed = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && parsed >= 1)
-            return static_cast<unsigned>(parsed);
-        sim::warnImpl("ignoring invalid IFP_RUN_SHARDS='%s'", env);
-    }
-    return 1;
-}
 
 workloads::WorkloadParams
 defaultEvalParams()
@@ -47,11 +32,8 @@ runExperimentWithSystem(const Experiment &exp,
 
     core::RunConfig run_cfg = exp.runCfg;
     run_cfg.policy.policy = exp.policy;
-    run_cfg.oversubscribed = exp.oversubscribed;
     if (exp.observe.wantsCapture() || traceSmokeEnabled())
         run_cfg.traceEnabled = true;
-    if (run_cfg.shards == 0)
-        run_cfg.shards = runShardsFromEnv();
 
     core::GpuSystem system(run_cfg);
     isa::Kernel kernel = workload->build(system, params);

@@ -24,14 +24,12 @@ struct Experiment
 {
     std::string workload = "SPM_G";
     core::Policy policy = core::Policy::Awg;
-    bool oversubscribed = false;
 
     /**
      * Optional workload factory. When set it overrides the registry
      * lookup of `workload`, so sweeps can vary constructor parameters
      * the registry defaults (queue depth, producer:consumer ratio).
-     * `workload` stays the experiment's label either way. Must be a
-     * pure factory (callable repeatedly — sharded runs rebuild).
+     * `workload` stays the experiment's label either way.
      */
     std::function<workloads::WorkloadPtr()> makeWorkload;
 
@@ -66,14 +64,6 @@ runExperimentWithSystem(const Experiment &exp,
 
 /** The default evaluation geometry used by all paper benches. */
 workloads::WorkloadParams defaultEvalParams();
-
-/**
- * In-run shard count from IFP_RUN_SHARDS (default 1, the serial
- * core). Experiments whose runCfg.shards is 0 ("unset") resolve
- * through this, so a whole bench can be switched to the PDES core
- * from the environment without touching every call site.
- */
-unsigned runShardsFromEnv();
 
 } // namespace ifp::harness
 

@@ -116,8 +116,6 @@ runServingScenario(const ServingConfig &cfg)
     run_cfg.cp.admission = admissionConfigFor(cfg.admission);
     if (!cfg.traceOutPath.empty() || traceSmokeEnabled())
         run_cfg.traceEnabled = true;
-    if (run_cfg.shards == 0)
-        run_cfg.shards = runShardsFromEnv();
 
     core::GpuSystem system(run_cfg);
     ServingObserver observer;

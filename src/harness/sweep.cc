@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "sim/event_domain.hh"
 #include "sim/logging.hh"
 
 namespace ifp::harness {
@@ -71,12 +70,6 @@ SweepRunner::run()
 
     const unsigned workers =
         static_cast<unsigned>(std::min<std::size_t>(numJobs, n));
-    // Publish the sweep's own parallelism so in-run shard executors
-    // divide the hardware budget by it: jobs x shards never
-    // oversubscribes the machine silently (the clamp prints one
-    // [shards] note). Reset after the join: later single runs may
-    // use the full machine again.
-    sim::setExternalConcurrency(workers);
     if (workers <= 1) {
         // Legacy serial path: no threads, no pool overhead.
         for (std::size_t i = 0; i < n; ++i)
@@ -99,20 +92,12 @@ SweepRunner::run()
         for (std::thread &t : pool)
             t.join();
     }
-    sim::setExternalConcurrency(1);
 
     wall = secondsSince(sweepStart);
     serial = 0.0;
     for (double s : pointSecs)
         serial += s;
     return resultsVec;
-}
-
-const std::vector<double> &
-SweepRunner::pointSeconds() const
-{
-    ifp_assert(ran, "pointSeconds() before run()");
-    return pointSecs;
 }
 
 const core::RunResult &

@@ -60,16 +60,6 @@ class SweepRunner
     /** Sum of per-run seconds: the serial-equivalent cost. */
     double serialSeconds() const { return serial; }
 
-    /** Host seconds each experiment took, by index (after run()). */
-    const std::vector<double> &pointSeconds() const;
-
-    /** The experiments queued so far, in submission order. */
-    const std::vector<Experiment> &
-    queuedExperiments() const
-    {
-        return experiments;
-    }
-
     /**
      * Print a one-line wall-clock/speedup report for this sweep to
      * stderr (stdout stays reserved for tables/CSV so parallel and

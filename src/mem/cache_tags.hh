@@ -70,10 +70,8 @@ class CacheTags
 
     /**
      * Mark @p line most recently used. The recency counter is
-     * per-set: replacement only ever compares lines within one set,
-     * and per-set counters keep banked callers (the sharded L2 runs
-     * one bank per thread, sets partitioned by bank) free of any
-     * shared mutable state in the tag array.
+     * per-set because replacement only ever compares lines within one
+     * set.
      */
     void
     touch(Line &line)

@@ -20,32 +20,6 @@ Dram::Dram(std::string name, sim::EventQueue &eq, const DramConfig &cfg)
           "queueTicks", "cumulative ticks requests spent queued"))
 {
     ifp_assert(cfg.channels > 0, "DRAM needs at least one channel");
-    for (Channel &ch : channelState)
-        ch.eq = &eventq();
-}
-
-void
-Dram::bindShardQueues(const std::vector<sim::EventQueue *> &queues)
-{
-    ifp_assert(queues.size() == channelState.size(),
-               "shard queue count (%zu) != channel count (%zu)",
-               queues.size(), channelState.size());
-    for (std::size_t i = 0; i < channelState.size(); ++i) {
-        ifp_assert(queues[i] != nullptr, "null shard queue");
-        channelState[i].eq = queues[i];
-        channelState[i].sharded = true;
-    }
-}
-
-void
-Dram::foldShardStats()
-{
-    for (Channel &ch : channelState) {
-        numReads += ch.shReads;
-        numWrites += ch.shWrites;
-        totalQueueTicks += ch.shQueueTicks;
-        ch.shReads = ch.shWrites = ch.shQueueTicks = 0;
-    }
 }
 
 unsigned
@@ -67,20 +41,17 @@ Dram::access(const MemRequestPtr &req)
 void
 Dram::drainChannel(unsigned idx)
 {
-    // Runs in the channel's own context: in shard mode that is the
-    // fused bank/channel domain, so the clock and event schedules
-    // must come from ch.eq, never the root queue.
     Channel &ch = channelState[idx];
     if (ch.queue.empty()) {
         ch.drainScheduled = false;
         return;
     }
 
-    sim::Tick now = ch.eq->curTick();
+    sim::Tick now = curTick();
     if (ch.busyUntil > now) {
         // Channel occupied: try again when it frees up.
         ch.drainScheduled = true;
-        ch.eq->schedule(ch.busyUntil, [this, idx] {
+        eventq().schedule(ch.busyUntil, [this, idx] {
             channelState[idx].drainScheduled = false;
             drainChannel(idx);
         }, descDrain);
@@ -90,27 +61,20 @@ Dram::drainChannel(unsigned idx)
     MemRequestPtr req = std::move(ch.queue.front());
     ch.queue.pop_front();
 
-    double queue_ticks = static_cast<double>(now - req->issueTick);
-    bool is_write = req->op == MemOp::Write;
-    if (ch.sharded) {
-        ch.shQueueTicks += queue_ticks;
-        (is_write ? ch.shWrites : ch.shReads) += 1;
-    } else {
-        totalQueueTicks += queue_ticks;
-        if (is_write)
-            ++numWrites;
-        else
-            ++numReads;
-    }
+    totalQueueTicks += static_cast<double>(now - req->issueTick);
+    if (req->op == MemOp::Write)
+        ++numWrites;
+    else
+        ++numReads;
 
     ch.busyUntil = now + cyclesToTicks(config.burstCycles);
     sim::Tick done = now + cyclesToTicks(config.accessLatency);
-    ch.eq->schedule(done, [r = std::move(req)] { r->respond(); },
-                    descResp);
+    eventq().schedule(done, [r = std::move(req)] { r->respond(); },
+                      descResp);
 
     if (!ch.queue.empty()) {
         ch.drainScheduled = true;
-        ch.eq->schedule(ch.busyUntil, [this, idx] {
+        eventq().schedule(ch.busyUntil, [this, idx] {
             channelState[idx].drainScheduled = false;
             drainChannel(idx);
         }, descDrain);

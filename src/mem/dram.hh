@@ -45,19 +45,6 @@ class Dram : public sim::Clocked, public MemDevice
 
     void access(const MemRequestPtr &req) override;
 
-    /**
-     * Shard mode: run channel @p idx on @p queue instead of the root
-     * event queue. The caller (GpuSystem) fuses each channel with the
-     * matching L2 bank into one event domain; all channel events and
-     * stats then live in that domain's context, and the channel-side
-     * stat shadows must be folded back via foldShardStats() before
-     * the run's statistics are read.
-     */
-    void bindShardQueues(const std::vector<sim::EventQueue *> &queues);
-
-    /** Fold channel-context stat shadows into the Scalars (root). */
-    void foldShardStats();
-
     sim::StatGroup &stats() { return statGroup; }
     const sim::StatGroup &stats() const { return statGroup; }
 
@@ -68,15 +55,6 @@ class Dram : public sim::Clocked, public MemDevice
         /** Tick at which the channel becomes free again. */
         sim::Tick busyUntil = 0;
         bool drainScheduled = false;
-        /** Event queue channel events run on (root unless sharded). */
-        sim::EventQueue *eq = nullptr;
-        bool sharded = false;
-        /// @name Channel-context stat shadows (sharded mode only)
-        /// @{
-        double shReads = 0;
-        double shWrites = 0;
-        double shQueueTicks = 0;
-        /// @}
     };
 
     unsigned channelFor(Addr addr) const;

@@ -3,26 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/event_domain.hh"
 #include "sim/logging.hh"
 
 namespace ifp::mem {
-
-namespace {
-
-/**
- * Clocked::clockEdge() for a caller-supplied tick: bank code runs on
- * the bank's own event queue in shard mode, so the edge must be
- * computed from that clock, not the root's.
- */
-sim::Tick
-edgeAfter(sim::Tick now, sim::Tick period, sim::Cycles cycles)
-{
-    sim::Tick edge = ((now + period - 1) / period) * period;
-    return edge + cycles * period;
-}
-
-} // anonymous namespace
 
 L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
                  const L2Config &config, MemDevice &dram_dev,
@@ -37,8 +20,6 @@ L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
       descDrain(this->name() + ".drain"),
       descLineBusy(this->name() + ".lineBusy"),
       descFinish(this->name() + ".finish"),
-      descEnqueue(this->name() + ".enqueue"),
-      descPin(this->name() + ".pin"),
       statGroup(this->name()),
       hits(statGroup.addScalar("hits", "accesses hitting in the tags")),
       misses(statGroup.addScalar("misses", "accesses missing")),
@@ -57,10 +38,6 @@ L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
           "queueTicks", "cumulative ticks spent in bank queues"))
 {
     ifp_assert(cfg.banks > 0, "L2 needs at least one bank");
-    for (Bank &bank : banks) {
-        bank.eq = &eventq();
-        bank.fillPool = &pool;
-    }
 }
 
 unsigned
@@ -70,71 +47,9 @@ L2Cache::bankFor(Addr addr) const
 }
 
 void
-L2Cache::bindShardDomains(
-    sim::EventDomain &root,
-    const std::vector<sim::EventDomain *> &bank_domains,
-    const std::vector<MemRequestPool *> &bank_pools)
-{
-    ifp_assert(bank_domains.size() == banks.size(),
-               "shard domain count (%zu) != bank count (%zu)",
-               bank_domains.size(), banks.size());
-    ifp_assert(bank_pools.size() == banks.size(),
-               "shard pool count (%zu) != bank count (%zu)",
-               bank_pools.size(), banks.size());
-    // Banks partition the tag array only if whole sets map to one
-    // bank; with power-of-two sets this needs banks | sets.
-    ifp_assert(tags.sets() % cfg.banks == 0,
-               "L2 sets (%zu) not divisible by banks (%u)",
-               tags.sets(), cfg.banks);
-    rootDomain = &root;
-    for (std::size_t i = 0; i < banks.size(); ++i) {
-        ifp_assert(bank_domains[i] && bank_pools[i],
-                   "null shard domain or pool");
-        banks[i].domain = bank_domains[i];
-        banks[i].eq = &bank_domains[i]->queue();
-        banks[i].fillPool = bank_pools[i];
-    }
-}
-
-void
-L2Cache::foldShardStats()
-{
-    for (Bank &bank : banks) {
-        hits += bank.shHits;
-        misses += bank.shMisses;
-        writebacks += bank.shWritebacks;
-        queueTicks += bank.shQueueTicks;
-        bank.shHits = bank.shMisses = 0;
-        bank.shWritebacks = bank.shQueueTicks = 0;
-    }
-}
-
-void
-L2Cache::applyMonitored(unsigned idx, Addr line_addr, bool monitored)
-{
-    // Bank context: the mirror set and the pin bit live with the
-    // bank because the eviction path (onMemResponse) consults them.
-    Bank &bank = banks[idx];
-    if (monitored) {
-        bank.monitored.insert(line_addr);
-        if (CacheTags::Line *line = tags.lookup(line_addr))
-            line->pinned = true;
-    } else {
-        bank.monitored.erase(line_addr);
-        if (CacheTags::Line *line = tags.lookup(line_addr))
-            line->pinned = false;
-    }
-}
-
-void
 L2Cache::setMonitored(Addr addr, bool monitored)
 {
-    // Root context. The authoritative set updates synchronously (the
-    // policy reads it through isMonitored() within the same event);
-    // the bank-side mirror and pin bit follow either synchronously
-    // (classic) or via a downward message (sharded).
     Addr line_addr = tags.lineOf(addr);
-    unsigned idx = bankFor(line_addr);
     if (monitored) {
         monitoredLines.insert(line_addr);
         maxMonitoredLines =
@@ -142,17 +57,8 @@ L2Cache::setMonitored(Addr addr, bool monitored)
     } else {
         monitoredLines.erase(line_addr);
     }
-
-    Bank &bank = banks[idx];
-    if (bank.domain) {
-        rootDomain->send(*bank.domain, curTick(),
-                         [this, idx, line_addr, monitored] {
-                             applyMonitored(idx, line_addr, monitored);
-                         },
-                         descPin.c_str());
-    } else {
-        applyMonitored(idx, line_addr, monitored);
-    }
+    if (CacheTags::Line *line = tags.lookup(line_addr))
+        line->pinned = monitored;
 }
 
 bool
@@ -164,30 +70,11 @@ L2Cache::isMonitored(Addr addr) const
 void
 L2Cache::access(const MemRequestPtr &req)
 {
-    // Root context (L1s and the DMA engine live in the root domain).
     unsigned idx = bankFor(req->addr);
+    Bank &bank = banks[idx];
     // Remember entry time for queueing statistics.
     req->issueTick = curTick();
-    Bank &bank = banks[idx];
-    if (bank.domain) {
-        // Hand the request to the bank's domain at the current tick;
-        // the handle crosses the thread boundary by move, so its
-        // refcount never needs to be atomic.
-        rootDomain->send(*bank.domain, curTick(),
-                         [this, idx, r = req]() mutable {
-                             enqueue(idx, std::move(r));
-                         },
-                         descEnqueue.c_str());
-        return;
-    }
-    enqueue(idx, req);
-}
-
-void
-L2Cache::enqueue(unsigned idx, MemRequestPtr req)
-{
-    Bank &bank = banks[idx];
-    bank.queue.push_back(std::move(req));
+    bank.queue.push_back(req);
     if (!bank.drainScheduled)
         drainBank(idx);
 }
@@ -195,17 +82,16 @@ L2Cache::enqueue(unsigned idx, MemRequestPtr req)
 void
 L2Cache::drainBank(unsigned idx)
 {
-    // Bank context from here down to the DRAM model.
     Bank &bank = banks[idx];
     if (bank.queue.empty()) {
         bank.drainScheduled = false;
         return;
     }
 
-    sim::Tick now = bank.eq->curTick();
+    sim::Tick now = curTick();
     if (bank.busyUntil > now) {
         bank.drainScheduled = true;
-        bank.eq->schedule(bank.busyUntil, [this, idx] {
+        eventq().schedule(bank.busyUntil, [this, idx] {
             banks[idx].drainScheduled = false;
             drainBank(idx);
         }, descDrain);
@@ -227,7 +113,7 @@ L2Cache::drainBank(unsigned idx)
         auto it = bank.lineBusyUntil.find(line_addr);
         if (it != bank.lineBusyUntil.end() && it->second > now) {
             bank.drainScheduled = true;
-            bank.eq->schedule(it->second, [this, idx] {
+            eventq().schedule(it->second, [this, idx] {
                 banks[idx].drainScheduled = false;
                 drainBank(idx);
             }, descLineBusy);
@@ -237,11 +123,7 @@ L2Cache::drainBank(unsigned idx)
 
     MemRequestPtr req = std::move(bank.queue.front());
     bank.queue.pop_front();
-    double queue_ticks = static_cast<double>(now - req->issueTick);
-    if (bank.domain)
-        bank.shQueueTicks += queue_ticks;
-    else
-        queueTicks += queue_ticks;
+    queueTicks += static_cast<double>(now - req->issueTick);
 
     sim::Cycles occupancy =
         is_atomic ? cfg.atomicServiceCycles : cfg.serviceCycles;
@@ -251,11 +133,11 @@ L2Cache::drainBank(unsigned idx)
             now + cyclesToTicks(cfg.sameLineAtomicGapCycles);
     }
 
-    serviceRequest(idx, std::move(req));
+    serviceRequest(std::move(req));
 
     if (!bank.queue.empty()) {
         bank.drainScheduled = true;
-        bank.eq->schedule(bank.busyUntil, [this, idx] {
+        eventq().schedule(bank.busyUntil, [this, idx] {
             banks[idx].drainScheduled = false;
             drainBank(idx);
         }, descDrain);
@@ -263,90 +145,60 @@ L2Cache::drainBank(unsigned idx)
 }
 
 void
-L2Cache::scheduleFinish(unsigned idx, MemRequestPtr req)
+L2Cache::scheduleFinish(MemRequestPtr req)
 {
-    // The response leaves bank context here: finishAccess() touches
-    // the backing store, the policy observer and the root-side stats,
-    // so it must run in the root domain. The hit latency is exactly
-    // the scheduler's lookahead, which is what makes the upward
-    // message legal.
-    Bank &bank = banks[idx];
-    sim::Tick when =
-        edgeAfter(bank.eq->curTick(), clockPeriod(), cfg.hitLatency);
-    if (bank.domain) {
-        bank.domain->send(*rootDomain, when,
-                          [this, r = std::move(req)] {
-                              finishAccess(r);
-                          },
-                          descFinish.c_str());
-        return;
-    }
-    bank.eq->schedule(when,
+    eventq().schedule(clockEdge(cfg.hitLatency),
                       [this, r = std::move(req)] { finishAccess(r); },
                       descFinish);
 }
 
 void
-L2Cache::serviceRequest(unsigned idx, MemRequestPtr req)
+L2Cache::serviceRequest(MemRequestPtr req)
 {
-    Bank &bank = banks[idx];
     if (CacheTags::Line *line = tags.lookup(req->addr)) {
-        if (bank.domain)
-            bank.shHits += 1;
-        else
-            ++hits;
+        ++hits;
         tags.touch(*line);
         if (req->isUpdate())
             line->dirty = true;
-        scheduleFinish(idx, std::move(req));
+        scheduleFinish(std::move(req));
         return;
     }
 
-    if (bank.domain)
-        bank.shMisses += 1;
-    else
-        ++misses;
-    MemRequestPtr fill = bank.fillPool->allocate();
+    ++misses;
+    MemRequestPtr fill = pool.allocate();
     fill->op = MemOp::Read;
     fill->addr = tags.lineOf(req->addr);
     fill->size = cfg.lineBytes;
-    fill->issueTick = bank.eq->curTick();
+    fill->issueTick = curTick();
     // The blocked request rides in the fill's parent slot (owned, so
     // a torn-down in-flight fill still releases it to the pool).
     fill->parent = std::move(req);
-    fill->setResponder(this, idx);
+    fill->setResponder(this);
     dram.access(fill);
 }
 
 void
-L2Cache::onMemResponse(MemRequest &fill, std::uint64_t tag)
+L2Cache::onMemResponse(MemRequest &fill, std::uint64_t)
 {
-    // Bank context: the fused DRAM channel delivered the fill on the
-    // bank's own queue; the tag routes it back to its bank.
-    auto idx = static_cast<unsigned>(tag);
-    Bank &bank = banks[idx];
     MemRequestPtr req = std::move(fill.parent);
     CacheTags::Line *line = nullptr;
     CacheTags::Victim victim = tags.insert(req->addr, &line);
     if (!victim.noWayFree) {
         if (victim.evicted && victim.wasDirty) {
-            if (bank.domain)
-                bank.shWritebacks += 1;
-            else
-                ++writebacks;
-            MemRequestPtr wb = bank.fillPool->allocate();
+            ++writebacks;
+            MemRequestPtr wb = pool.allocate();
             wb->op = MemOp::Write;
             wb->addr = victim.lineAddr;
             wb->size = cfg.lineBytes;
-            wb->issueTick = bank.eq->curTick();
+            wb->issueTick = curTick();
             dram.access(wb);  // fire and forget: recycled by refcount
         }
         if (req->isUpdate())
             line->dirty = true;
-        if (bank.monitored.count(tags.lineOf(req->addr)))
+        if (monitoredLines.count(tags.lineOf(req->addr)))
             line->pinned = true;
     }
-    scheduleFinish(idx, std::move(req));
+    scheduleFinish(std::move(req));
 }
 
 void

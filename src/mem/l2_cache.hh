@@ -34,10 +34,6 @@
 #include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 
-namespace ifp::sim {
-class EventDomain;
-} // namespace ifp::sim
-
 namespace ifp::mem {
 
 /** L2 configuration (defaults per Table 1). */
@@ -90,25 +86,6 @@ class L2Cache : public sim::Clocked, public MemDevice,
     void setSyncObserver(SyncObserver *obs) { observer = obs; }
 
     /**
-     * Shard mode: run each bank inside its own event domain. Bank i
-     * executes on @p bank_domains[i] (fused with DRAM channel i) and
-     * allocates fills/writebacks from @p bank_pools[i]; requests
-     * enter through a root->bank mailbox message and responses return
-     * through a bank->root message carrying the hit latency, so
-     * finishAccess() — the policy-observer boundary — always runs in
-     * root context. Call before the first access; requires the
-     * address interleaving of banks and channels to coincide.
-     */
-    void bindShardDomains(sim::EventDomain &root,
-                          const std::vector<sim::EventDomain *>
-                              &bank_domains,
-                          const std::vector<MemRequestPool *>
-                              &bank_pools);
-
-    /** Fold bank-context stat shadows into the Scalars (root). */
-    void foldShardStats();
-
-    /**
      * Set/clear the monitored bit of the line containing @p addr.
      * Monitored lines are pinned in the tags.
      */
@@ -136,36 +113,13 @@ class L2Cache : public sim::Clocked, public MemDevice,
         bool drainScheduled = false;
         /** Per-line RMW turnaround state (atomics only). */
         std::unordered_map<Addr, sim::Tick> lineBusyUntil;
-        /** Event queue bank events run on (root unless sharded). */
-        sim::EventQueue *eq = nullptr;
-        /** The bank's event domain; null in classic serial mode. */
-        sim::EventDomain *domain = nullptr;
-        /** Pool for fills/writebacks born in this bank's context. */
-        MemRequestPool *fillPool = nullptr;
-        /**
-         * Bank-context mirror of the monitored-line set, restricted
-         * to this bank's addresses; the authoritative set stays
-         * root-side (setMonitored/isMonitored). Maintained in both
-         * modes so the eviction-pinning path behaves identically.
-         */
-        std::unordered_set<Addr> monitored;
-        /// @name Bank-context stat shadows (sharded mode only)
-        /// @{
-        double shHits = 0;
-        double shMisses = 0;
-        double shWritebacks = 0;
-        double shQueueTicks = 0;
-        /// @}
     };
 
     unsigned bankFor(Addr addr) const;
-    void enqueue(unsigned idx, MemRequestPtr req);
     void drainBank(unsigned idx);
-    void serviceRequest(unsigned idx, MemRequestPtr req);
+    void serviceRequest(MemRequestPtr req);
     void finishAccess(const MemRequestPtr &req);
-    void scheduleFinish(unsigned idx, MemRequestPtr req);
-    /** Bank-context half of setMonitored (mirror set + pin bit). */
-    void applyMonitored(unsigned idx, Addr line_addr, bool monitored);
+    void scheduleFinish(MemRequestPtr req);
 
     L2Config cfg;
     MemDevice &dram;
@@ -175,7 +129,6 @@ class L2Cache : public sim::Clocked, public MemDevice,
 
     CacheTags tags;
     std::vector<Bank> banks;
-    sim::EventDomain *rootDomain = nullptr;
     std::unordered_set<Addr> monitoredLines;
     std::size_t maxMonitoredLines = 0;
 
@@ -184,8 +137,6 @@ class L2Cache : public sim::Clocked, public MemDevice,
     std::string descDrain;
     std::string descLineBusy;
     std::string descFinish;
-    std::string descEnqueue;
-    std::string descPin;
     /// @}
 
     sim::StatGroup statGroup;

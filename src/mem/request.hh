@@ -29,19 +29,9 @@
  * WaitDecision telling the issuing work-group how to wait (stall on the
  * CU, context switch out, or retry because the Monitor Log is full).
  *
- * Thread-affinity: a pool and its requests belong to one GpuSystem
- * and, in the serial core, are confined to its thread (one per
- * parallel-sweep worker), so the refcounts are plain integers, not
- * atomics. The sharded core (--shards N, DESIGN.md §9) keeps that
- * invariant per *event domain* by move discipline instead of
- * locking: a root-pool request crossing into an L2-bank domain is
- * handed over as the single live handle inside a cross-domain
- * message, every intermediate hop moves rather than copies, and the
- * handle returns to root context before release — so at any instant
- * all handles of a request live in one domain, and refcount bumps
- * stay unsynchronized. Bank-local traffic (fills, writebacks) uses
- * per-bank pools that never cross at all; executors are parked at a
- * superstep barrier whenever pools are created, folded or destroyed.
+ * Thread-affinity: a pool and its requests belong to one GpuSystem and
+ * are confined to its thread (one per parallel-sweep worker), so the
+ * refcounts are plain integers, not atomics.
  */
 
 #ifndef IFP_MEM_REQUEST_HH

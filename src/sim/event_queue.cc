@@ -165,18 +165,6 @@ EventQueue::stepOne()
 }
 
 Tick
-EventQueue::nextEventTick()
-{
-    while (!heap.empty()) {
-        const HeapEntry &top = heap.top();
-        if (top.event->_scheduled && top.event->_sequence == top.sequence)
-            return top.when;
-        heap.pop();
-    }
-    return maxTick;
-}
-
-Tick
 EventQueue::simulate(Tick limit)
 {
     // One scope for the whole run keeps the per-event cost at zero.

@@ -172,13 +172,6 @@ class EventQueue
      */
     Tick simulate(Tick limit = maxTick);
 
-    /**
-     * Tick of the earliest live event, or maxTick when drained.
-     * Prunes stale heap entries (deschedule leftovers) on the way, so
-     * the answer reflects live events only.
-     */
-    Tick nextEventTick();
-
     /** Execute exactly one event, if any. @return true if one ran. */
     bool step();
 

@@ -30,10 +30,8 @@
 
 #include <cstdint>
 #include <ostream>
-#include <thread>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace ifp::sim {
@@ -107,28 +105,15 @@ struct TraceEvent
 };
 
 /**
- * Per-run collector of TraceEvents. One sink per GpuSystem. Every
- * emitter (dispatcher, CUs, CP, SyncMon) lives in the root event
- * domain, which the PDES core always executes on the thread that
- * built the system — so the sink needs no locking even under
- * --shards N, and events arrive in tick order because root events
- * execute in tick order. record() asserts that confinement: an
- * emitter migrating into a bank domain would corrupt the stream
- * silently otherwise.
+ * Per-run collector of TraceEvents. One sink per GpuSystem, confined
+ * to that system's thread like its event queue, so it needs no
+ * locking; events arrive in tick order because the queue executes in
+ * tick order.
  */
 class TraceSink
 {
   public:
-    TraceSink() : owner(std::this_thread::get_id()) {}
-
-    void
-    record(const TraceEvent &event)
-    {
-        ifp_assert(std::this_thread::get_id() == owner,
-                   "TraceEvent recorded off the owning thread "
-                   "(emitter outside the root domain?)");
-        eventsVec.push_back(event);
-    }
+    void record(const TraceEvent &event) { eventsVec.push_back(event); }
 
     const std::vector<TraceEvent> &events() const { return eventsVec; }
     std::size_t size() const { return eventsVec.size(); }
@@ -145,8 +130,6 @@ class TraceSink
 
   private:
     std::vector<TraceEvent> eventsVec;
-    /** The thread that built the run; the only one allowed to emit. */
-    std::thread::id owner;
 };
 
 /**

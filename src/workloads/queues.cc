@@ -606,7 +606,7 @@ queueExpectedVerdict(const std::string &abbrev, core::Policy policy)
     // the whole family completes under every policy — including the
     // IFP-less busy/sleep baselines, whose spinning peers stay
     // scheduled. Oversubscribed geometries are a different contract
-    // (and are exercised by the parity/fault gates instead).
+    // (and are exercised by the determinism/fault gates instead).
     for (const std::string &a : queueAbbrevs()) {
         if (a == abbrev)
             return core::Verdict::Complete;

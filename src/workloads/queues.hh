@@ -1,6 +1,6 @@
 /**
  * @file
- * Concurrent-queue and producer/consumer workloads (DESIGN.md §14).
+ * Concurrent-queue and producer/consumer workloads (DESIGN.md §12).
  *
  * Unlike the HeteroSync suite — whose waits target a handful of lock
  * and barrier words — this family blocks work-groups on DATA

@@ -21,6 +21,15 @@ struct AtomicCase
     bool expected_wrote;
 };
 
+// Names each case by its inputs; without it the case id would be a
+// byte dump of the struct, padding included, and change every build.
+void
+PrintTo(const AtomicCase &c, std::ostream *os)
+{
+    *os << atomicOpcodeName(c.op) << " old=" << c.old_value
+        << " operand=" << c.operand << " compare=" << c.compare;
+}
+
 class AtomicOpTest : public ::testing::TestWithParam<AtomicCase>
 {
 };

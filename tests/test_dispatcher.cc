@@ -93,8 +93,7 @@ TEST(Dispatcher, ForcedPreemptionSavesContexts)
 {
     // Long-running WGs, one CU taken offline mid-run.
     core::RunConfig cfg = test::testRunConfig();
-    cfg.oversubscribed = true;
-    cfg.cuLossMicroseconds = 1;
+    cfg.faultPlan = core::FaultPlan::cuLoss(1);
     core::GpuSystem system(cfg);
     mem::Addr counter = system.allocate(64);
 
@@ -122,8 +121,7 @@ TEST(Dispatcher, PreemptedWgsRestartOnOtherCus)
     // on the remaining ones even though the kernel initially filled
     // the whole machine.
     core::RunConfig cfg = test::testRunConfig(core::Policy::Awg);
-    cfg.oversubscribed = true;
-    cfg.cuLossMicroseconds = 1;
+    cfg.faultPlan = core::FaultPlan::cuLoss(1);
     core::GpuSystem system(cfg);
     mem::Addr marks = system.allocate(64 * 64);
 

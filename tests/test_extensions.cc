@@ -169,11 +169,10 @@ TEST(StallPredictionKnob, DisablingItSwitchesImmediately)
     harness::Experiment exp;
     exp.workload = "TB_LG";
     exp.policy = core::Policy::Awg;
-    exp.oversubscribed = true;
     exp.params = test::smallParams();
     exp.params.iters = 12;
     exp.params.wgsPerGroup = 2;  // capacity 16 = G: truly oversub
-    exp.runCfg.cuLossMicroseconds = 5;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(5);
 
     exp.runCfg.policy.syncmon.stallPredictionEnabled = true;
     auto with = harness::runExperiment(exp);

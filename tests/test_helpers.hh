@@ -36,11 +36,10 @@ runSmall(const std::string &workload, core::Policy policy,
     harness::Experiment exp;
     exp.workload = workload;
     exp.policy = policy;
-    exp.oversubscribed = oversubscribed;
     exp.params = smallParams();
     if (oversubscribed) {
         exp.params.iters = 12;
-        exp.runCfg.cuLossMicroseconds = 5;
+        exp.runCfg.faultPlan = core::FaultPlan::cuLoss(5);
     }
     return harness::runExperiment(exp);
 }

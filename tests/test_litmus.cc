@@ -45,7 +45,6 @@ runWithStats(const LitmusWorkload &litmus, Policy policy,
     cfg.policy.policy = policy;
     cfg.deadlockWindowCycles = 200'000;
     cfg.maxCycles = 30'000'000;
-    cfg.shards = 1;
     cfg.schedOracle = oracle;
 
     ifp::core::GpuSystem system(cfg);

@@ -183,11 +183,10 @@ TEST(StallBreakdown, PartitionsLifetimeWhenOversubscribed)
     harness::Experiment exp;
     exp.workload = "SPM_G";
     exp.policy = core::Policy::Awg;
-    exp.oversubscribed = true;
     exp.params = harness::defaultEvalParams();
     exp.params.iters = 2;
     // Lose the CU early enough that this short run actually swaps.
-    exp.runCfg.cuLossMicroseconds = 10;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10);
 
     core::RunResult r = harness::runExperiment(exp);
     ASSERT_GT(r.contextSaves, 0u);
@@ -245,11 +244,15 @@ TEST(Observe, ExpandsPathPlaceholders)
     harness::Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = core::Policy::MonNROne;
-    exp.oversubscribed = true;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10);
     EXPECT_EQ(harness::expandObservePath(
                   "out/{workload}-{policy}-{scenario}.json", exp),
               "out/FAM_G-MonNR-One-oversub.json");
-    exp.oversubscribed = false;
+    // Any plan that takes a CU offline is the oversubscribed scenario.
+    exp.runCfg.faultPlan = core::faultPlanPreset("cu-churn");
+    EXPECT_EQ(harness::expandObservePath("t-{scenario}", exp),
+              "t-oversub");
+    exp.runCfg.faultPlan = core::FaultPlan();
     EXPECT_EQ(harness::expandObservePath("t-{scenario}", exp),
               "t-steady");
 }

@@ -93,10 +93,9 @@ TEST(OversubscribedDetail, RecoveryUsesContextSwitches)
     harness::Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = Policy::Awg;
-    exp.oversubscribed = true;
     exp.params = harness::defaultEvalParams();
     exp.params.iters = 16;
-    exp.runCfg.cuLossMicroseconds = 10;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10);
     auto result = harness::runExperiment(exp);
     ASSERT_TRUE(result.completed);
     EXPECT_GT(result.forcedPreemptions, 0u);
@@ -143,11 +142,9 @@ TEST(DynamicResources, RestoredCuSpeedsUpRecovery)
         harness::Experiment exp;
         exp.workload = "FAM_G";
         exp.policy = Policy::Awg;
-        exp.oversubscribed = true;
         exp.params = harness::defaultEvalParams();
         exp.params.iters = 16;
-        exp.runCfg.cuLossMicroseconds = 10;
-        exp.runCfg.cuRestoreMicroseconds = restore_us;
+        exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10, restore_us);
         return harness::runExperiment(exp);
     };
     auto gone = run(0);
@@ -173,11 +170,9 @@ TEST_P(RestoredCu, OnlyRescuePoliciesExploitTheReturnedCu)
     harness::Experiment exp;
     exp.workload = c.workload;
     exp.policy = c.policy;
-    exp.oversubscribed = true;
     exp.params = test::smallParams();
     exp.params.iters = 12;
-    exp.runCfg.cuLossMicroseconds = 5;
-    exp.runCfg.cuRestoreMicroseconds = 20;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(5, 20);
     auto result = harness::runExperiment(exp);
     if (c.expectDeadlock) {
         EXPECT_TRUE(result.deadlocked);
@@ -223,11 +218,9 @@ TEST(DynamicResources, RestorationDoesNotSaveTheBaseline)
     harness::Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = Policy::Baseline;
-    exp.oversubscribed = true;
     exp.params = test::smallParams();
     exp.params.iters = 12;
-    exp.runCfg.cuLossMicroseconds = 5;
-    exp.runCfg.cuRestoreMicroseconds = 20;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(5, 20);
     auto result = harness::runExperiment(exp);
     EXPECT_TRUE(result.deadlocked);
 }

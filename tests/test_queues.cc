@@ -1,6 +1,6 @@
 /**
  * @file
- * Queue-family gates (DESIGN.md §14): the per-policy verdict
+ * Queue-family gates (DESIGN.md §12): the per-policy verdict
  * annotations over the full (queue workload x policy) matrix at the
  * paper's default geometry, AWG resume-prediction accounting on the
  * high-unique-update-rate counters, constructor-parameter variants

@@ -41,10 +41,9 @@ TEST(ResultsJson, DeadlockSerializesAsFlags)
     Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = core::Policy::Baseline;
-    exp.oversubscribed = true;
     exp.params = ifp::test::smallParams();
     exp.params.iters = 12;
-    exp.runCfg.cuLossMicroseconds = 5;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(5);
     core::RunResult r = runExperiment(exp);
     ASSERT_TRUE(r.deadlocked);
 

@@ -129,20 +129,6 @@ TEST(FaultPlanModel, ParserIgnoresCommentsAndBlanks)
 // Construction-time validation
 // ---------------------------------------------------------------
 
-TEST(ScenarioValidation, RejectsOutOfRangeOfflineCuId)
-{
-    core::RunConfig cfg = test::testRunConfig();
-    cfg.offlineCuId = static_cast<int>(cfg.gpu.numCus);
-    EXPECT_THROW(core::GpuSystem bad(cfg), std::invalid_argument);
-    cfg.offlineCuId = -2;
-    EXPECT_THROW(core::GpuSystem bad(cfg), std::invalid_argument);
-
-    cfg.offlineCuId = -1;  // last CU, valid
-    EXPECT_NO_THROW(core::GpuSystem ok(cfg));
-    cfg.offlineCuId = static_cast<int>(cfg.gpu.numCus) - 1;
-    EXPECT_NO_THROW(core::GpuSystem ok(cfg));
-}
-
 TEST(ScenarioValidation, RejectsOutOfRangePlanChurnTarget)
 {
     core::RunConfig cfg = test::testRunConfig();
@@ -423,15 +409,13 @@ TEST(FaultApplication, RecoveryAccountingMeasuresRestoreToSwapIn)
     harness::Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = Policy::Awg;
-    exp.oversubscribed = true;
     exp.params = test::smallParams();
     exp.params.iters = 12;
     // Two CUs, one lost: the survivor cannot host all 16 WGs, so
     // swap traffic persists long past the restore and the restored
     // CU demonstrably re-enters rotation.
     exp.runCfg.gpu.numCus = 2;
-    exp.runCfg.cuLossMicroseconds = 5;
-    exp.runCfg.cuRestoreMicroseconds = 15;
+    exp.runCfg.faultPlan = FaultPlan::cuLoss(5, 15);
     auto result = harness::runExperiment(exp);
     ASSERT_TRUE(result.completed);
     ASSERT_FALSE(result.faultRecoveries.empty());

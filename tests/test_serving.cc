@@ -5,16 +5,14 @@
  * compatibility contracts around them.
  *
  *  - determinism: the same (config, seed) serving scenario produces a
- *    byte-identical ifp-serving-v1 JSON report on every rerun, and
- *    across --shards settings,
+ *    byte-identical ifp-serving-v1 JSON report on every rerun,
  *  - priority preemption: a high-priority arrival evicts running WGs
  *    of a resident low-priority kernel through the WG drain /
  *    context-save machinery,
  *  - legacy equivalence: run() and a single-kernel enqueue+serve()
  *    produce byte-identical stats-JSON for all 12 workloads,
  *  - admission: "serial" admission serializes kernels,
- *  - the FaultPlan::cuLoss factory and the deprecated RunConfig
- *    quartet forwarding to it.
+ *  - the FaultPlan::cuLoss factory.
  */
 
 #include <gtest/gtest.h>
@@ -71,17 +69,6 @@ TEST(Serving, SeedChangesTheSchedule)
     cfg.seed = 8;
     std::string b = servingJson(harness::runServingScenario(cfg));
     EXPECT_NE(a, b);
-}
-
-TEST(Serving, ShardedServeMatchesSerial)
-{
-    harness::ServingConfig cfg = twoTenantConfig();
-    cfg.numLaunches = 4;
-    cfg.runCfg.shards = 1;
-    std::string serial = servingJson(harness::runServingScenario(cfg));
-    cfg.runCfg.shards = 2;
-    std::string sharded = servingJson(harness::runServingScenario(cfg));
-    EXPECT_EQ(serial, sharded);
 }
 
 TEST(Serving, PriorityArrivalPreemptsResidentLowPriority)
@@ -229,7 +216,7 @@ TEST(Serving, LegacyRunEqualsSingleKernelServe)
 }
 
 // ---------------------------------------------------------------------
-// FaultPlan::cuLoss factory and the deprecated quartet shim
+// FaultPlan::cuLoss factory
 // ---------------------------------------------------------------------
 
 TEST(CuLossFactory, BuildsTheLossRestorePair)
@@ -257,22 +244,11 @@ TEST(CuLossFactory, OmitsARestoreThatNeverHappens)
     EXPECT_EQ(bogus.events.size(), 1u);
 }
 
-TEST(CuLossFactory, LegacyQuartetStillDrivesTheScenario)
-{
-    // The deprecated fields must keep producing the §VI behaviour:
-    // mid-run CU loss forces preemptions, AWG recovers and completes.
-    core::RunResult result =
-        test::runSmall("FAM_G", core::Policy::Awg,
-                       /*oversubscribed=*/true);
-    ASSERT_TRUE(result.completed) << result.statusString();
-    EXPECT_TRUE(result.validated) << result.validationError;
-    EXPECT_GT(result.forcedPreemptions, 0u);
-}
-
 TEST(CuLossFactory, PlanPathCountsItsFaults)
 {
-    // The modern path applies the same scenario through the fault
-    // engine, which (unlike the legacy shim) counts applied events.
+    // The §VI scenario runs through the fault engine: mid-run CU loss
+    // forces preemptions, AWG recovers and completes, and the applied
+    // event is counted.
     harness::Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = core::Policy::Awg;

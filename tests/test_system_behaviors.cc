@@ -160,10 +160,9 @@ TEST(OversubscribedRotation, WaitAccountingStaysConsistent)
     harness::Experiment exp;
     exp.workload = "TB_LG";
     exp.policy = core::Policy::Awg;
-    exp.oversubscribed = true;
     exp.params = harness::defaultEvalParams();
     exp.params.iters = 16;
-    exp.runCfg.cuLossMicroseconds = 10;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10);
     auto r = harness::runExperiment(exp);
     ASSERT_TRUE(r.completed);
     EXPECT_LE(r.totalWgWaitCycles, r.totalWgExecCycles);

@@ -85,10 +85,9 @@ TEST(Virtualization, OversubscribedRunSurvivesTinyHardware)
     harness::Experiment exp;
     exp.workload = "FAM_G";
     exp.policy = core::Policy::Awg;
-    exp.oversubscribed = true;
     exp.params = test::smallParams();
     exp.params.iters = 12;
-    exp.runCfg.cuLossMicroseconds = 5;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(5);
     exp.runCfg.policy.syncmon.sets = 1;
     exp.runCfg.policy.syncmon.ways = 2;
     exp.runCfg.policy.syncmon.waitingListCapacity = 4;

@@ -14,10 +14,14 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "core/fault_plan.hh"
 #include "harness/results_io.hh"
@@ -32,7 +36,10 @@ struct Options
 {
     std::string workload = "SPM_G";
     std::string policy = "AWG";
+    /** --oversubscribed: FaultPlan::cuLoss(cuLossUs, cuRestoreUs). */
     bool oversubscribed = false;
+    std::uint64_t cuLossUs = 50;
+    std::uint64_t cuRestoreUs = 0;
     bool list = false;
     bool stats = false;
     bool disasm = false;
@@ -46,6 +53,32 @@ struct Options
         ifp::harness::defaultEvalParams();
     ifp::core::RunConfig runCfg;
 };
+
+/**
+ * The value of numeric flag @p flag: the whole of @p text as a
+ * decimal integer in [@p min, @p max]. Anything else (a sign,
+ * trailing characters, overflow) is fatal and names the flag.
+ */
+template <typename T>
+T
+parseCount(const char *flag, const char *text, T min = 0,
+           T max = std::numeric_limits<T>::max())
+{
+    static_assert(std::is_unsigned_v<T>);
+    T value{};
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < min || value > max) {
+        ifp_fatal("%s expects an integer in [%s, %s], got '%s'", flag,
+                  std::to_string(min).c_str(),
+                  std::to_string(max).c_str(), text);
+    }
+    return value;
+}
+
+/** Largest fault time, in microseconds, whose tick count fits. */
+constexpr std::uint64_t maxFaultUs =
+    ifp::sim::maxTick / ifp::sim::ticksFromMicroseconds(1);
 
 ifp::core::Policy
 parsePolicy(const std::string &name)
@@ -72,7 +105,8 @@ usage()
         "  --list                 list benchmarks and exit\n"
         "  --workload NAME        benchmark abbreviation (SPM_G, ...)\n"
         "  --policy NAME          waiting policy (AWG, Baseline, ...)\n"
-        "  --oversubscribed       lose one CU mid-run (Sec. VI)\n"
+        "  --oversubscribed       lose one CU mid-run (Sec. VI); runs\n"
+        "                         ahead of any --fault-plan events\n"
         "  --wgs N / --group L    grid size / WGs per locality group\n"
         "  --wi N / --iters I     WIs per WG / iterations per WG\n"
         "  --timeout-interval C   Timeout policy interval (cycles)\n"
@@ -111,11 +145,6 @@ usage()
         "  --trace-out FILE       write a Chrome-trace JSON timeline\n"
         "                         (open in Perfetto / chrome://tracing)\n"
         "  --stats-json FILE      write all statistics as JSON\n"
-        "  --shards N             parallel-in-run PDES core: N >= 2\n"
-        "                         shards the memory system into event\n"
-        "                         domains (results byte-identical to\n"
-        "                         any other N >= 2; 1 = serial core;\n"
-        "                         default: IFP_RUN_SHARDS or 1)\n"
         "  --debug FLAG           enable a trace flag (repeatable)\n";
 }
 
@@ -147,43 +176,51 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--oversubscribed")) {
             opt.oversubscribed = true;
         } else if (!std::strcmp(a, "--wgs")) {
-            opt.params.numWgs = std::atoi(need(i));
+            opt.params.numWgs = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--group")) {
-            opt.params.wgsPerGroup = std::atoi(need(i));
+            opt.params.wgsPerGroup = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--wi")) {
-            opt.params.wiPerWg = std::atoi(need(i));
+            opt.params.wiPerWg = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--iters")) {
-            opt.params.iters = std::atoi(need(i));
+            opt.params.iters = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--timeout-interval")) {
             opt.runCfg.policy.timeoutIntervalCycles =
-                std::atoll(need(i));
+                parseCount<sim::Cycles>(a, need(i));
         } else if (!std::strcmp(a, "--sleep-max")) {
             opt.runCfg.policy.sleepMaxBackoffCycles =
-                std::atoll(need(i));
+                parseCount<sim::Cycles>(a, need(i));
         } else if (!std::strcmp(a, "--cu-loss-us")) {
-            opt.runCfg.cuLossMicroseconds = std::atoll(need(i));
+            opt.cuLossUs =
+                parseCount<std::uint64_t>(a, need(i), 0, maxFaultUs);
         } else if (!std::strcmp(a, "--cu-restore-us")) {
-            opt.runCfg.cuRestoreMicroseconds = std::atoll(need(i));
+            opt.cuRestoreUs =
+                parseCount<std::uint64_t>(a, need(i), 0, maxFaultUs);
         } else if (!std::strcmp(a, "--fault-plan")) {
             opt.faultPlanArg = need(i);
         } else if (!std::strcmp(a, "--chaos-seed")) {
-            opt.chaosSeed = std::strtoull(need(i), nullptr, 10);
+            opt.chaosSeed = parseCount<std::uint64_t>(a, need(i));
             opt.haveChaosSeed = true;
         } else if (!std::strcmp(a, "--syncmon-sets")) {
-            opt.runCfg.policy.syncmon.sets = std::atoi(need(i));
+            opt.runCfg.policy.syncmon.sets = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--syncmon-ways")) {
-            opt.runCfg.policy.syncmon.ways = std::atoi(need(i));
+            opt.runCfg.policy.syncmon.ways = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--waitlist")) {
             opt.runCfg.policy.syncmon.waitingListCapacity =
-                std::atoi(need(i));
+                parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--log-capacity")) {
-            opt.runCfg.cp.monitorLogCapacity = std::atoi(need(i));
+            opt.runCfg.cp.monitorLogCapacity = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--spill-policy")) {
             std::string p = need(i);
-            opt.runCfg.policy.syncmon.spillPolicy =
-                p == "evict-youngest"
-                    ? syncmon::SpillPolicy::EvictYoungest
-                    : syncmon::SpillPolicy::SpillNew;
+            if (p == "new") {
+                opt.runCfg.policy.syncmon.spillPolicy =
+                    syncmon::SpillPolicy::SpillNew;
+            } else if (p == "evict-youngest") {
+                opt.runCfg.policy.syncmon.spillPolicy =
+                    syncmon::SpillPolicy::EvictYoungest;
+            } else {
+                ifp_fatal("--spill-policy expects new or evict-youngest, "
+                          "got '%s'", p.c_str());
+            }
         } else if (!std::strcmp(a, "--no-stall-prediction")) {
             opt.runCfg.policy.syncmon.stallPredictionEnabled = false;
         } else if (!std::strcmp(a, "--stats")) {
@@ -196,9 +233,6 @@ main(int argc, char **argv)
             opt.traceOutPath = need(i);
         } else if (!std::strcmp(a, "--stats-json")) {
             opt.statsJsonPath = need(i);
-        } else if (!std::strcmp(a, "--shards")) {
-            opt.runCfg.shards =
-                static_cast<unsigned>(std::atoi(need(i)));
         } else if (!std::strcmp(a, "--debug")) {
             sim::setDebugFlag(need(i));
         } else {
@@ -254,11 +288,23 @@ main(int argc, char **argv)
             opt.runCfg.faultPlan = *plan;
         }
     }
+    if (opt.oversubscribed) {
+        // Loss events go first, so a combined run schedules them
+        // ahead of the other plan's events at the same tick.
+        core::FaultPlan loss =
+            core::FaultPlan::cuLoss(opt.cuLossUs, opt.cuRestoreUs);
+        core::FaultPlan &plan = opt.runCfg.faultPlan;
+        if (opt.haveChaosSeed || !opt.faultPlanArg.empty()) {
+            plan.events.insert(plan.events.begin(), loss.events.begin(),
+                               loss.events.end());
+        } else {
+            plan = std::move(loss);
+        }
+    }
 
     harness::Experiment exp;
     exp.workload = opt.workload;
     exp.policy = parsePolicy(opt.policy);
-    exp.oversubscribed = opt.oversubscribed;
     exp.params = opt.params;
     exp.runCfg = opt.runCfg;
     exp.observe.traceOutPath = opt.traceOutPath;
@@ -296,7 +342,7 @@ main(int argc, char **argv)
         "%llu instructions, "
         "%llu saves / %llu restores, validated=%s\n",
         exp.workload.c_str(), core::policyName(exp.policy),
-        exp.oversubscribed ? " (oversubscribed)" : "",
+        exp.runCfg.faultPlan.losesCu() ? " (oversubscribed)" : "",
         result.statusString().c_str(),
         core::verdictName(result.verdict),
         static_cast<unsigned long long>(result.atomicInstructions),

@@ -10,131 +10,24 @@
 # the bench tables must stay byte-identical. Wired into ctest as the
 # `observability` label.
 #
-# With --baseline every bench binary runs once with machine-readable
-# reporting enabled (IFP_BENCH_JSON_OUT for the sweep benches,
-# --benchmark_out for the google-benchmark microbenches) and the
-# resulting BENCH_<name>.json files are written into bench/baselines/
-# for committing. With --check the same reports are regenerated into a
-# temporary directory and tools/bench_check gates each one against the
-# committed baseline (tolerance: IFP_BENCH_CHECK_TOLERANCE, default
-# 0.40 — generous on purpose; the gate hunts structural slowdowns,
-# not scheduling noise).
-#
 # With --verify the script is instead the one-stop verification entry
 # point: configure + build, the tier-1 ctest suite, the static kernel
 # verifier gate (ifplint --all --Werror), the litmus and queue-family
 # label suites, byte-identity of the
 # exploration and interference JSON surfaces, the POR-vs-unreduced
 # exhaustive agreement check, clang-tidy (skipped when not installed),
-# the sanitized test run (ASan+UBSan), and the perf gate (--check)
-# when baselines are committed. This is what CI or a pre-merge check
-# should call.
+# the sanitized test run (ASan+UBSan), and last the end-to-end
+# benchmark's smoke pass (bench/e2e/run.sh --smoke), whose per-run
+# digests must match bench/e2e/reference.json. This is what CI or a
+# pre-merge check should call.
 #
 # Usage: run_all_benches.sh [--trace] [BENCH_DIR] [JOBS]
-#        run_all_benches.sh --baseline [BENCH_DIR] [OUT_DIR]
-#        run_all_benches.sh --check [BENCH_DIR]
 #        run_all_benches.sh --verify [BUILD_DIR] [JOBS]
 #   BENCH_DIR  directory with the bench binaries (default: build/bench)
-#   OUT_DIR    where --baseline writes (default: bench/baselines)
 #   JOBS       parallel worker count (default: IFP_BENCH_PARITY_JOBS
 #              or the machine's core count; unused with --trace)
 
 set -u
-
-SCRIPT_SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
-
-# Run every bench binary in $1 with machine-readable reporting into
-# directory $2. Sweep benches honour IFP_BENCH_JSON_OUT; microbenches
-# use google-benchmark's native JSON writer.
-generate_reports() {
-    gen_bench_dir="$1"
-    gen_out_dir="$2"
-    mkdir -p "$gen_out_dir"
-    gen_fail=0
-    for bin in "$gen_bench_dir"/*; do
-        [ -x "$bin" ] && [ -f "$bin" ] || continue
-        name="$(basename "$bin")"
-        case "$name" in
-            *.cmake|CTestTestfile*|CMakeFiles) continue ;;
-            microbench_*)
-                if ! "$bin" \
-                        --benchmark_out="$gen_out_dir/BENCH_$name.json" \
-                        --benchmark_out_format=json \
-                        > /dev/null 2>&1; then
-                    echo "FAIL  $name: microbench run exited non-zero" >&2
-                    gen_fail=1
-                    continue
-                fi
-                ;;
-            *)
-                if ! IFP_BENCH_CSV=1 \
-                        IFP_BENCH_JSON_OUT="$gen_out_dir/BENCH_$name.json" \
-                        "$bin" > /dev/null 2>&1; then
-                    echo "FAIL  $name: bench run exited non-zero" >&2
-                    gen_fail=1
-                    continue
-                fi
-                ;;
-        esac
-        if [ -f "$gen_out_dir/BENCH_$name.json" ]; then
-            echo "wrote $gen_out_dir/BENCH_$name.json"
-        else
-            echo "note  $name emitted no report (no sweeps)"
-        fi
-    done
-    return $gen_fail
-}
-
-if [ "${1:-}" = "--baseline" ]; then
-    shift
-    BENCH_DIR="${1:-build/bench}"
-    OUT_DIR="${2:-$SCRIPT_SRC_DIR/bench/baselines}"
-    if [ ! -d "$BENCH_DIR" ]; then
-        echo "error: bench dir '$BENCH_DIR' not found (build first)" >&2
-        exit 2
-    fi
-    generate_reports "$BENCH_DIR" "$OUT_DIR"
-    exit $?
-fi
-
-if [ "${1:-}" = "--check" ]; then
-    shift
-    BENCH_DIR="${1:-build/bench}"
-    BASELINE_DIR="$SCRIPT_SRC_DIR/bench/baselines"
-    CHECK_BIN="$BENCH_DIR/../tools/bench_check"
-    if [ ! -d "$BENCH_DIR" ]; then
-        echo "error: bench dir '$BENCH_DIR' not found (build first)" >&2
-        exit 2
-    fi
-    if [ ! -x "$CHECK_BIN" ]; then
-        echo "error: '$CHECK_BIN' not found (build first)" >&2
-        exit 2
-    fi
-    if ! ls "$BASELINE_DIR"/BENCH_*.json > /dev/null 2>&1; then
-        echo "error: no baselines in $BASELINE_DIR" \
-             "(run --baseline and commit them)" >&2
-        exit 2
-    fi
-
-    tmpdir="$(mktemp -d)"
-    trap 'rm -rf "$tmpdir"' EXIT
-    fail=0
-    generate_reports "$BENCH_DIR" "$tmpdir" || fail=1
-    for base in "$BASELINE_DIR"/BENCH_*.json; do
-        name="$(basename "$base")"
-        echo "== $name"
-        if [ ! -f "$tmpdir/$name" ]; then
-            echo "FAIL  $name: current run produced no report" >&2
-            fail=1
-            continue
-        fi
-        "$CHECK_BIN" "$base" "$tmpdir/$name" || fail=1
-    done
-    if [ "$fail" -eq 0 ]; then
-        echo "perf gate: all baselines defended"
-    fi
-    exit $fail
-fi
 
 if [ "${1:-}" = "--verify" ]; then
     shift
@@ -216,15 +109,8 @@ if [ "${1:-}" = "--verify" ]; then
     echo "== sanitized tests (ASan + UBSan)"
     "$SRC_DIR/tools/run_sanitized_tests.sh" "$BUILD_DIR-sanitize" "$JOBS"
 
-    echo "== sanitized tests (TSan, sharded parity suite)"
-    "$SRC_DIR/tools/run_sanitized_tests.sh" --tsan "$BUILD_DIR-tsan" "$JOBS"
-
-    echo "== perf gate (bench_check vs committed baselines)"
-    if ls "$SRC_DIR/bench/baselines"/BENCH_*.json > /dev/null 2>&1; then
-        "$0" --check "$BUILD_DIR/bench"
-    else
-        echo "no committed baselines; run '$0 --baseline' to create them"
-    fi
+    echo "== end-to-end benchmark smoke (bench/e2e, digests vs reference.json)"
+    bash "$SRC_DIR/bench/e2e/run.sh" --smoke
 
     echo "== verify: all checks passed"
     exit 0

@@ -4,23 +4,13 @@
 # it. A clean exit means the suite is free of memory errors and UB on
 # the paths the tests exercise; any sanitizer report fails the run.
 #
-# With --tsan the build uses CMAKE_BUILD_TYPE=SanitizeThread instead
-# and runs the `parity` suite (the serial/sharded PDES byte-parity
-# matrix) with IFP_SHARDS_NO_CLAMP=1, so the in-run executor threads
-# are real even on single-core hosts: the cross-domain mailboxes, the
-# superstep barrier and the stat-shadow folds are exercised under
-# ThreadSanitizer with genuine concurrency. ASan and TSan cannot be
-# combined, hence the separate flavor (and its own build tree).
-#
-# The sanitized trees live in their own build directories so they
-# never disturb the primary build. Not part of the default ctest run
+# The sanitized tree lives in its own build directory so it never
+# disturbs the primary build. Not part of the default ctest run
 # (the sanitized simulator is ~5-20x slower); invoke this script
 # directly or from CI.
 #
-# Usage: run_sanitized_tests.sh [--tsan] [BUILD_DIR] [JOBS] [-- CTEST_ARGS...]
-#   --tsan     ThreadSanitizer flavor (default: ASan + UBSan)
-#   BUILD_DIR  sanitized build tree (default: build-sanitize, or
-#              build-tsan with --tsan)
+# Usage: run_sanitized_tests.sh [BUILD_DIR] [JOBS] [-- CTEST_ARGS...]
+#   BUILD_DIR  sanitized build tree (default: build-sanitize)
 #   JOBS       parallel build/test jobs (default: nproc)
 #   CTEST_ARGS extra arguments forwarded to ctest, e.g.
 #              `-- -L robustness` to sanitize only the fault suite
@@ -29,41 +19,15 @@ set -eu
 
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
-FLAVOR=asan
-if [ "${1:-}" = "--tsan" ]; then
-    FLAVOR=tsan
-    shift
-fi
-
-if [ "$FLAVOR" = tsan ]; then
-    DEFAULT_DIR=build-tsan
-    BUILD_TYPE=SanitizeThread
-else
-    DEFAULT_DIR=build-sanitize
-    BUILD_TYPE=Sanitize
-fi
-
-BUILD_DIR="${1:-$DEFAULT_DIR}"
+BUILD_DIR="${1:-build-sanitize}"
 JOBS="${2:-$(nproc 2>/dev/null || echo 4)}"
 
 shift $(( $# > 2 ? 2 : $# ))
 [ "${1:-}" = "--" ] && shift
 
 cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
-      -DCMAKE_BUILD_TYPE="$BUILD_TYPE" > /dev/null
+      -DCMAKE_BUILD_TYPE=Sanitize > /dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS"
-
-if [ "$FLAVOR" = tsan ]; then
-    # second_deadlock_stack: both stacks on lock-order reports.
-    export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
-    # Real executor threads even where the hardware budget would
-    # clamp them to one: a TSan run that never runs concurrently
-    # proves nothing.
-    export IFP_SHARDS_NO_CLAMP=1
-    ctest --test-dir "$BUILD_DIR/tests" --output-on-failure \
-          -j "$JOBS" -L parity "$@"
-    exit $?
-fi
 
 # abort_on_error: make ASan failures hard exits even under ctest's
 # output capture; detect_leaks stays on to catch event-queue and
