@@ -13,6 +13,7 @@
 #include <set>
 
 #include "analysis/passes.hh"
+#include "sim/json.hh"
 
 namespace ifp::analysis {
 
@@ -606,27 +607,22 @@ printInterferenceSummary(const InterferenceSummary &s, std::ostream &os)
 namespace {
 
 void
-writeAccessListJson(const AccessList &al, std::ostream &os)
+writeAccessListJson(sim::json::Writer &w, const AccessList &al)
 {
-    os << "{\"intervals\": [";
-    for (std::size_t i = 0; i < al.intervals.size(); ++i) {
-        if (i)
-            os << ", ";
-        os << "[" << al.intervals[i].lo << ", " << al.intervals[i].hi
-           << "]";
-    }
-    os << "], \"unbounded\": " << (al.unbounded ? "true" : "false")
-       << "}";
+    w.beginObject().key("intervals").beginArray();
+    for (const Interval &iv : al.intervals)
+        w.beginArray().value(iv.lo).value(iv.hi).endArray();
+    w.endArray().key("unbounded").value(al.unbounded).endObject();
 }
 
 void
-writeWaitSiteJson(const WaitSite &w, std::ostream &os)
+writeWaitSiteJson(sim::json::Writer &w, const WaitSite &site)
 {
-    os << "{\"wg\": " << w.wg << ", \"pc\": " << w.pc
-       << ", \"spin\": " << (w.spin ? "true" : "false")
-       << ", \"addr\": \"" << intervalToString(w.addr)
-       << "\", \"expected\": \"" << intervalToString(w.expected)
-       << "\"}";
+    w.beginObject().key("wg").value(site.wg).key("pc").value(site.pc);
+    w.key("spin").value(site.spin);
+    w.key("addr").value(intervalToString(site.addr));
+    w.key("expected").value(intervalToString(site.expected));
+    w.endObject();
 }
 
 } // anonymous namespace
@@ -635,47 +631,42 @@ void
 writeInterferenceSummariesJson(
     const std::vector<InterferenceSummary> &summaries, std::ostream &os)
 {
-    os << "[\n";
-    for (std::size_t k = 0; k < summaries.size(); ++k) {
-        const InterferenceSummary &s = summaries[k];
-        os << "  {\"kernel\": \"" << s.kernel << "\", \"numWgs\": "
-           << s.numWgs << ", \"capped\": "
-           << (s.capped ? "true" : "false");
+    sim::json::Writer w(os);
+    w.beginObject().key("schema").value("ifp-interference-v1");
+    w.key("kernels").beginArray();
+    for (const InterferenceSummary &s : summaries) {
+        w.beginObject().key("kernel").value(s.kernel);
+        w.key("numWgs").value(s.numWgs).key("capped").value(s.capped);
         if (!s.capped) {
-            os << ",\n   \"wgs\": [";
+            w.key("wgs").beginArray();
             for (std::size_t wg = 0; wg < s.wgFootprints.size(); ++wg) {
                 const Footprint &fp = s.wgFootprints[wg];
-                os << (wg ? ",\n           " : "") << "{\"wg\": " << wg
-                   << ", \"reads\": ";
-                writeAccessListJson(fp.reads, os);
-                os << ", \"writes\": ";
-                writeAccessListJson(fp.writes, os);
-                os << ", \"waits\": ";
-                writeAccessListJson(fp.waits, os);
-                os << "}";
+                w.beginObject().key("wg").value(wg).key("reads");
+                writeAccessListJson(w, fp.reads);
+                w.key("writes");
+                writeAccessListJson(w, fp.writes);
+                w.key("waits");
+                writeAccessListJson(w, fp.waits);
+                w.endObject();
             }
-            os << "],\n   \"conflictPairs\": " << s.conflictPairs
-               << ", \"independentPairs\": " << s.independentPairs
-               << ", \"syncAliasPairs\": " << s.syncAliasPairs
-               << ", \"waitForEdges\": " << s.waitForEdges
-               << ", \"guardedEdges\": " << s.guardedEdges;
-            os << ",\n   \"waitSites\": [";
-            for (std::size_t i = 0; i < s.waitSites.size(); ++i) {
-                if (i)
-                    os << ", ";
-                writeWaitSiteJson(s.waitSites[i], os);
-            }
-            os << "],\n   \"circularWaits\": [";
-            for (std::size_t i = 0; i < s.circular.size(); ++i) {
-                if (i)
-                    os << ", ";
-                writeWaitSiteJson(s.circular[i], os);
-            }
-            os << "]";
+            w.endArray();
+            w.key("conflictPairs").value(s.conflictPairs);
+            w.key("independentPairs").value(s.independentPairs);
+            w.key("syncAliasPairs").value(s.syncAliasPairs);
+            w.key("waitForEdges").value(s.waitForEdges);
+            w.key("guardedEdges").value(s.guardedEdges);
+            w.key("waitSites").beginArray();
+            for (const WaitSite &site : s.waitSites)
+                writeWaitSiteJson(w, site);
+            w.endArray().key("circularWaits").beginArray();
+            for (const WaitSite &site : s.circular)
+                writeWaitSiteJson(w, site);
+            w.endArray();
         }
-        os << "}" << (k + 1 < summaries.size() ? "," : "") << "\n";
+        w.endObject();
     }
-    os << "]\n";
+    w.endArray().endObject();
+    os << '\n';
 }
 
 } // namespace ifp::analysis

@@ -274,7 +274,10 @@ std::string intervalToString(const Interval &iv);
 void printInterferenceSummary(const InterferenceSummary &summary,
                               std::ostream &os);
 
-/** Deterministic JSON array over all summaries. */
+/**
+ * Deterministic compact JSON over all summaries:
+ * {"schema": "ifp-interference-v1", "kernels": [...]}.
+ */
 void writeInterferenceSummariesJson(
     const std::vector<InterferenceSummary> &summaries, std::ostream &os);
 

@@ -6,6 +6,7 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/passes.hh"
+#include "sim/json.hh"
 
 namespace ifp::analysis {
 
@@ -107,75 +108,32 @@ printReport(const Report &report, std::ostream &os)
     }
 }
 
-namespace {
-
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char *hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // anonymous namespace
-
 void
 writeReportsJson(const std::vector<Report> &reports, std::ostream &os)
 {
-    os << "{\n  \"kernels\": [";
-    for (std::size_t k = 0; k < reports.size(); ++k) {
-        const Report &r = reports[k];
-        os << (k ? ",\n" : "\n") << "    {\n      \"kernel\": ";
-        writeJsonString(os, r.kernel);
-        os << ",\n      \"errors\": " << r.count(Severity::Error)
-           << ",\n      \"warnings\": " << r.count(Severity::Warning)
-           << ",\n      \"diagnostics\": [";
-        for (std::size_t i = 0; i < r.diagnostics.size(); ++i) {
-            const Diagnostic &d = r.diagnostics[i];
-            os << (i ? ",\n" : "\n") << "        {\"pass\": ";
-            writeJsonString(os, d.pass);
-            os << ", \"code\": ";
-            writeJsonString(os, d.code);
-            os << ", \"severity\": \"" << severityName(d.severity)
-               << "\", \"pc\": " << d.pc << ",\n         \"message\": ";
-            writeJsonString(os, d.message);
-            os << ",\n         \"disasm\": ";
-            writeJsonString(os, d.disasm);
-            os << ",\n         \"hint\": ";
-            writeJsonString(os, d.hint);
-            os << ",\n         \"suppressed\": "
-               << (d.suppressed ? "true" : "false");
-            if (d.suppressed) {
-                os << ", \"suppressReason\": ";
-                writeJsonString(os, d.suppressReason);
-            }
-            os << "}";
+    sim::json::Writer w(os, sim::json::Layout::Indented);
+    w.beginObject().key("schema").value("ifp-lint-v1");
+    w.key("kernels").beginArray();
+    for (const Report &r : reports) {
+        w.beginObject().key("kernel").value(r.kernel);
+        w.key("errors").value(r.count(Severity::Error));
+        w.key("warnings").value(r.count(Severity::Warning));
+        w.key("diagnostics").beginArray();
+        for (const Diagnostic &d : r.diagnostics) {
+            w.beginObject().key("pass").value(d.pass);
+            w.key("code").value(d.code);
+            w.key("severity").value(severityName(d.severity));
+            w.key("pc").value(d.pc).key("message").value(d.message);
+            w.key("disasm").value(d.disasm).key("hint").value(d.hint);
+            w.key("suppressed").value(d.suppressed);
+            if (d.suppressed)
+                w.key("suppressReason").value(d.suppressReason);
+            w.endObject();
         }
-        os << (r.diagnostics.empty() ? "]" : "\n      ]") << "\n    }";
+        w.endArray().endObject();
     }
-    os << (reports.empty() ? "]" : "\n  ]") << "\n}\n";
+    w.endArray().endObject();
+    os << '\n';
 }
 
 } // namespace ifp::analysis

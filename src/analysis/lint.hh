@@ -55,7 +55,10 @@ Report runLint(const isa::Kernel &kernel, const LaunchContext &launch);
 /** Human-readable report (one line per diagnostic plus hints). */
 void printReport(const Report &report, std::ostream &os);
 
-/** Deterministic JSON for a batch of reports. */
+/**
+ * Deterministic indented JSON for a batch of reports:
+ * {"schema": "ifp-lint-v1", "kernels": [...]}.
+ */
 void writeReportsJson(const std::vector<Report> &reports,
                       std::ostream &os);
 

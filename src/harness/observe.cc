@@ -50,18 +50,15 @@ writeStatsJson(std::ostream &os, const Experiment &exp,
                const core::GpuSystem &system,
                const core::RunResult &result)
 {
-    os << "{\n\"experiment-result\": ";
-    writeResultJson(os, exp, result);
-    os << ",\n\"groups\": [";
-    bool first = true;
-    system.forEachStatGroup([&](const sim::StatGroup &group) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n";
-        group.dumpJson(os);
-    });
-    os << "\n]\n}\n";
+    sim::json::Writer w(os);
+    w.beginObject().key("schema").value("ifp-stats-v1");
+    w.key("experiment-result");
+    writeResultJson(w, exp, result);
+    w.key("groups").beginArray();
+    system.forEachStatGroup(
+        [&w](const sim::StatGroup &group) { group.dumpJson(w); });
+    w.endArray().endObject();
+    os << '\n';
 }
 
 void

@@ -64,8 +64,9 @@ std::string expandObservePath(const std::string &path,
 void writeChromeTrace(std::ostream &os, const core::GpuSystem &system);
 
 /**
- * Write the run's statistics as one JSON object:
- * {"experiment-result": <writeResultJson>, "groups": [<StatGroup>...]}.
+ * Write the run's statistics as one compact JSON object:
+ * {"schema": "ifp-stats-v1", "experiment-result": <writeResultJson>,
+ *  "groups": [<StatGroup::dumpJson>...]}.
  */
 void writeStatsJson(std::ostream &os, const Experiment &exp,
                     const core::GpuSystem &system,

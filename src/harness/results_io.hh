@@ -1,88 +1,28 @@
 /**
  * @file
  * Machine-readable result output: serialize an (Experiment,
- * RunResult) pair as JSON for plotting scripts and CI comparisons,
- * plus a minimal JSON reader used to validate the observability
- * exports (Chrome traces, stats-JSON) in tests.
+ * RunResult) pair as one JSON record (schema "ifp-result-v1") for
+ * plotting scripts and CI comparisons. The format itself lives in
+ * sim/json.hh.
  */
 
 #ifndef IFP_HARNESS_RESULTS_IO_HH
 #define IFP_HARNESS_RESULTS_IO_HH
 
-#include <optional>
 #include <ostream>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "harness/runner.hh"
+#include "sim/json.hh"
 
 namespace ifp::harness {
 
-/** Write one experiment + result as a JSON object. */
+/** Write one experiment + result as a compact JSON object. */
 void writeResultJson(std::ostream &os, const Experiment &exp,
                      const core::RunResult &result);
 
-/**
- * Write many results as a JSON array (calls writeResultJson per
- * element).
- */
-void writeResultsJson(
-    std::ostream &os,
-    const std::vector<std::pair<Experiment, core::RunResult>> &runs);
-
-namespace json {
-
-/**
- * A parsed JSON document node. Small by design: enough to round-trip
- * the simulator's own output (tests parse the exported trace and
- * stats files and assert structure), not a general-purpose library.
- */
-struct Value
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Value> array;
-    /** Members in document order (exports are deterministic). */
-    std::vector<std::pair<std::string, Value>> object;
-
-    bool isNull() const { return kind == Kind::Null; }
-    bool isBool() const { return kind == Kind::Bool; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isObject() const { return kind == Kind::Object; }
-
-    /** Object member lookup; nullptr when absent or not an object. */
-    const Value *find(const std::string &key) const;
-};
-
-bool operator==(const Value &a, const Value &b);
-inline bool
-operator!=(const Value &a, const Value &b)
-{
-    return !(a == b);
-}
-
-/** Parse a complete JSON document; nullopt on malformed input. */
-std::optional<Value> tryParse(const std::string &text);
-
-/** Serialize @p value (compact, document member order). */
-void write(std::ostream &os, const Value &value);
-
-} // namespace json
+/** The same object as the next value of @p w. */
+void writeResultJson(sim::json::Writer &w, const Experiment &exp,
+                     const core::RunResult &result);
 
 } // namespace ifp::harness
 

@@ -7,6 +7,7 @@
 
 #include "harness/observe.hh"
 #include "harness/runner.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workloads/registry.hh"
@@ -15,7 +16,7 @@ namespace ifp::harness {
 
 namespace {
 
-/** Fixed-precision double formatting (byte-stable exports). */
+/** Fixed-precision double formatting (byte-stable table). */
 std::string
 fmtDouble(double value)
 {
@@ -279,63 +280,54 @@ runServingScenario(const ServingConfig &cfg)
 void
 writeServingJson(std::ostream &os, const ServingReport &report)
 {
-    os << "{\n"
-       << "  \"schema\": \"ifp-serving-v1\",\n"
-       << "  \"policy\": \"" << report.policy << "\",\n"
-       << "  \"admission\": \"" << report.admission << "\",\n"
-       << "  \"launches\": " << report.launches << ",\n"
-       << "  \"seed\": " << report.seed << ",\n"
-       << "  \"verdict\": \"" << report.verdict << "\",\n"
-       << "  \"allCompleted\": "
-       << (report.allCompleted ? "true" : "false") << ",\n"
-       << "  \"makespanCycles\": " << report.makespanCycles << ",\n"
-       << "  \"p50TurnaroundCycles\": " << report.p50TurnaroundCycles
-       << ",\n"
-       << "  \"p99TurnaroundCycles\": " << report.p99TurnaroundCycles
-       << ",\n"
-       << "  \"maxQueueCycles\": " << report.maxQueueCycles << ",\n"
-       << "  \"sloTracked\": " << report.sloTracked << ",\n"
-       << "  \"sloMisses\": " << report.sloMisses << ",\n"
-       << "  \"preemptions\": " << report.preemptions << ",\n"
-       << "  \"swapOuts\": " << report.swapOuts << ",\n"
-       << "  \"swapIns\": " << report.swapIns << ",\n"
-       << "  \"cuReassignments\": " << report.cuReassignments << ",\n"
-       << "  \"admissionPasses\": " << report.admissionPasses << ",\n"
-       << "  \"fairness\": " << fmtDouble(report.fairness) << ",\n";
-
-    os << "  \"completionOrder\": [";
-    for (std::size_t i = 0; i < report.completionOrder.size(); ++i) {
-        if (i)
-            os << ", ";
-        os << report.completionOrder[i];
+    sim::json::Writer w(os, sim::json::Layout::Indented);
+    w.beginObject().key("schema").value("ifp-serving-v1");
+    w.key("policy").value(report.policy);
+    w.key("admission").value(report.admission);
+    w.key("launches").value(report.launches);
+    w.key("seed").value(report.seed);
+    w.key("verdict").value(report.verdict);
+    w.key("allCompleted").value(report.allCompleted);
+    w.key("makespanCycles").value(report.makespanCycles);
+    w.key("p50TurnaroundCycles").value(report.p50TurnaroundCycles);
+    w.key("p99TurnaroundCycles").value(report.p99TurnaroundCycles);
+    w.key("maxQueueCycles").value(report.maxQueueCycles);
+    w.key("sloTracked").value(report.sloTracked);
+    w.key("sloMisses").value(report.sloMisses);
+    w.key("preemptions").value(report.preemptions);
+    w.key("swapOuts").value(report.swapOuts);
+    w.key("swapIns").value(report.swapIns);
+    w.key("cuReassignments").value(report.cuReassignments);
+    w.key("admissionPasses").value(report.admissionPasses);
+    w.key("fairness").value(report.fairness);
+    w.key("completionOrder").beginArray();
+    for (int ctx : report.completionOrder)
+        w.value(ctx);
+    w.endArray().key("kernels").beginArray();
+    for (const core::KernelRunStat &ks : report.kernels) {
+        w.beginObject().key("ctx").value(ks.ctxId);
+        w.key("kernel").value(ks.kernelName);
+        w.key("tenant").value(ks.tenant);
+        w.key("priority").value(ks.priority);
+        w.key("completed").value(ks.completed);
+        w.key("enqueueCycle").value(ks.enqueueCycle);
+        w.key("admitCycle").value(ks.admitCycle);
+        w.key("firstDispatchCycle").value(ks.firstDispatchCycle);
+        w.key("completeCycle").value(ks.completeCycle);
+        w.key("queueCycles").value(ks.queueCycles);
+        w.key("turnaroundCycles").value(ks.turnaroundCycles);
+        w.key("sloMissed").value(ks.sloMissed);
+        w.key("dispatches").value(ks.dispatches);
+        w.key("swapOuts").value(ks.swapOuts);
+        w.key("swapIns").value(ks.swapIns);
+        w.key("preemptions").value(ks.preemptions);
+        w.key("cusGained").value(ks.cusGained);
+        w.key("cusLost").value(ks.cusLost);
+        w.key("wgsCompleted").value(ks.wgsCompleted);
+        w.key("numWgs").value(ks.numWgs).endObject();
     }
-    os << "],\n";
-
-    os << "  \"kernels\": [\n";
-    for (std::size_t i = 0; i < report.kernels.size(); ++i) {
-        const core::KernelRunStat &ks = report.kernels[i];
-        os << "    {\"ctx\": " << ks.ctxId << ", \"kernel\": \""
-           << ks.kernelName << "\", \"tenant\": \"" << ks.tenant
-           << "\", \"priority\": " << ks.priority
-           << ", \"completed\": " << (ks.completed ? "true" : "false")
-           << ", \"enqueueCycle\": " << ks.enqueueCycle
-           << ", \"admitCycle\": " << ks.admitCycle
-           << ", \"firstDispatchCycle\": " << ks.firstDispatchCycle
-           << ", \"completeCycle\": " << ks.completeCycle
-           << ", \"queueCycles\": " << ks.queueCycles
-           << ", \"turnaroundCycles\": " << ks.turnaroundCycles
-           << ", \"sloMissed\": " << (ks.sloMissed ? "true" : "false")
-           << ", \"dispatches\": " << ks.dispatches
-           << ", \"swapOuts\": " << ks.swapOuts
-           << ", \"swapIns\": " << ks.swapIns
-           << ", \"preemptions\": " << ks.preemptions
-           << ", \"cusGained\": " << ks.cusGained
-           << ", \"cusLost\": " << ks.cusLost
-           << ", \"wgsCompleted\": " << ks.wgsCompleted
-           << ", \"numWgs\": " << ks.numWgs << "}"
-           << (i + 1 < report.kernels.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    w.endArray().endObject();
+    os << '\n';
 }
 
 void

@@ -12,7 +12,7 @@
  *
  * Everything is deterministic from (config, seed): arrivals come from
  * a seeded sim::Rng, admission runs synchronously, and the JSON
- * writer uses fixed-precision formatting — the same config produces a
+ * writer's number rule is deterministic — the same config produces a
  * byte-identical report on every rerun and across IFP_BENCH_JOBS.
  *
  * Per-kernel statistics are event-driven via the typed KernelListener
@@ -125,9 +125,9 @@ struct ServingReport
 ServingReport runServingScenario(const ServingConfig &cfg);
 
 /**
- * Serialize @p report as one JSON object (schema "ifp-serving-v1").
- * Fixed-precision formatting: byte-identical across reruns of the
- * same (config, seed).
+ * Serialize @p report as one indented JSON object (schema
+ * "ifp-serving-v1"), byte-identical across reruns of the same
+ * (config, seed).
  */
 void writeServingJson(std::ostream &os, const ServingReport &report);
 

@@ -3,6 +3,8 @@
 #include <iomanip>
 #include <memory>
 
+#include "sim/json.hh"
+
 namespace ifp::sim {
 
 double
@@ -198,75 +200,46 @@ StatGroup::dump(std::ostream &os) const
         emit(entry.name, entry.stat->value(), entry.desc);
 }
 
-namespace {
-
-// JSON number formatting: integral values as integers (the common
-// case for counters) and %.17g otherwise, so dumps are deterministic
-// and doubles round-trip exactly.
-void
-emitJsonNumber(std::ostream &os, double value)
-{
-    char buf[40];
-    if (value == static_cast<double>(static_cast<long long>(value))) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(value));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-    }
-    os << buf;
-}
-
-} // anonymous namespace
-
 void
 StatGroup::dumpJson(std::ostream &os) const
 {
-    os << "{\"name\":\"" << groupName << "\",\"scalars\":{";
-    bool first = true;
-    for (const auto &entry : scalars) {
-        os << (first ? "" : ",") << "\"" << entry.name << "\":";
-        emitJsonNumber(os, entry.stat->value());
-        first = false;
-    }
-    os << "},\"vectors\":{";
-    first = true;
+    json::Writer w(os);
+    dumpJson(w);
+}
+
+void
+StatGroup::dumpJson(json::Writer &w) const
+{
+    w.beginObject().key("name").value(groupName);
+    w.key("scalars").beginObject();
+    for (const auto &entry : scalars)
+        w.key(entry.name).value(entry.stat->value());
+    w.endObject().key("vectors").beginObject();
     for (const auto &entry : vectors) {
-        os << (first ? "" : ",") << "\"" << entry.name << "\":[";
-        for (std::size_t i = 0; i < entry.stat->size(); ++i) {
-            if (i)
-                os << ",";
-            emitJsonNumber(os, entry.stat->at(i));
-        }
-        os << "]";
-        first = false;
+        w.key(entry.name).beginArray();
+        for (std::size_t i = 0; i < entry.stat->size(); ++i)
+            w.value(entry.stat->at(i));
+        w.endArray();
     }
-    os << "},\"histograms\":{";
-    first = true;
+    w.endObject().key("histograms").beginObject();
     for (const auto &entry : histograms) {
-        os << (first ? "" : ",") << "\"" << entry.name
-           << "\":{\"samples\":"
-           << entry.stat->samples() << ",\"mean\":";
-        emitJsonNumber(os, entry.stat->mean());
-        os << ",\"min\":";
-        emitJsonNumber(os, entry.stat->minSeen());
-        os << ",\"max\":";
-        emitJsonNumber(os, entry.stat->maxSeen());
-        os << ",\"underflows\":" << entry.stat->underflows()
-           << ",\"overflows\":" << entry.stat->overflows()
-           << ",\"buckets\":[";
-        for (std::size_t i = 0; i < entry.stat->numBuckets(); ++i)
-            os << (i ? "," : "") << entry.stat->bucket(i);
-        os << "]}";
-        first = false;
+        const Histogram &h = *entry.stat;
+        w.key(entry.name).beginObject();
+        w.key("samples").value(h.samples());
+        w.key("mean").value(h.mean());
+        w.key("min").value(h.minSeen());
+        w.key("max").value(h.maxSeen());
+        w.key("underflows").value(h.underflows());
+        w.key("overflows").value(h.overflows());
+        w.key("buckets").beginArray();
+        for (std::size_t i = 0; i < h.numBuckets(); ++i)
+            w.value(h.bucket(i));
+        w.endArray().endObject();
     }
-    os << "},\"formulas\":{";
-    first = true;
-    for (const auto &entry : formulas) {
-        os << (first ? "" : ",") << "\"" << entry.name << "\":";
-        emitJsonNumber(os, entry.stat->value());
-        first = false;
-    }
-    os << "}}";
+    w.endObject().key("formulas").beginObject();
+    for (const auto &entry : formulas)
+        w.key(entry.name).value(entry.stat->value());
+    w.endObject().endObject();
 }
 
 void

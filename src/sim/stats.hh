@@ -22,6 +22,8 @@
 
 namespace ifp::sim {
 
+namespace json { class Writer; }
+
 /** A single named scalar statistic. */
 class Scalar
 {
@@ -165,10 +167,11 @@ class StatGroup
     /**
      * Write the group as one JSON object:
      * {"name":..., "scalars":{...}, "vectors":{...},
-     *  "histograms":{...}, "formulas":{...}}.
-     * Integral values print without a fraction so output is stable.
+     *  "histograms":{...}, "formulas":{...}}, compact.
      */
     void dumpJson(std::ostream &os) const;
+    /** The same object as the next value of @p w. */
+    void dumpJson(json::Writer &w) const;
 
     /** Reset every contained statistic (formulas are stateless). */
     void reset();

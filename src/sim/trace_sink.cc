@@ -10,6 +10,8 @@
 #include <map>
 #include <string>
 
+#include "sim/json.hh"
+
 namespace ifp::sim {
 
 const char *
@@ -100,15 +102,13 @@ isKernelKind(TraceEventKind kind)
 }
 
 void
-writeMeta(std::ostream &os, int pid, int tid, const char *what,
-          const std::string &name, bool &first)
+writeMeta(json::Writer &w, int pid, int tid, const char *what,
+          const std::string &name)
 {
-    if (!first)
-        os << ",\n";
-    first = false;
-    os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-       << ",\"ts\":0,\"name\":\"" << what
-       << "\",\"args\":{\"name\":\"" << name << "\"}}";
+    w.beginObject().key("ph").value("M").key("pid").value(pid);
+    w.key("tid").value(tid).key("ts").value(0).key("name").value(what);
+    w.key("args").beginObject().key("name").value(name).endObject();
+    w.endObject();
 }
 
 // One async-span stream per WG and category ("wg" lifetime spans,
@@ -121,23 +121,20 @@ struct PhaseTracker
 };
 
 void
-writeAsyncAt(std::ostream &os, const char *ph, const char *cat, int id,
-             int pid, const std::string &name, Tick tick, bool &first)
+writeAsyncAt(json::Writer &w, const char *ph, const char *cat, int id,
+             int pid, const std::string &name, Tick tick)
 {
-    if (!first)
-        os << ",\n";
-    first = false;
-    os << "{\"ph\":\"" << ph << "\",\"cat\":\"" << cat
-       << "\",\"id\":" << id << ",\"pid\":" << pid
-       << ",\"tid\":0,\"ts\":" << ticksToUs(tick) << ",\"name\":\""
-       << name << "\"}";
+    w.beginObject().key("ph").value(ph).key("cat").value(cat);
+    w.key("id").value(id).key("pid").value(pid).key("tid").value(0);
+    w.key("ts").number(ticksToUs(tick)).key("name").value(name);
+    w.endObject();
 }
 
 void
-writeAsync(std::ostream &os, const char *ph, const char *cat, int id,
-           const std::string &name, Tick tick, bool &first)
+writeAsync(json::Writer &w, const char *ph, const char *cat, int id,
+           const std::string &name, Tick tick)
 {
-    writeAsyncAt(os, ph, cat, id, pidGpu, name, tick, first);
+    writeAsyncAt(w, ph, cat, id, pidGpu, name, tick);
 }
 
 } // anonymous namespace
@@ -145,21 +142,22 @@ writeAsync(std::ostream &os, const char *ph, const char *cat, int id,
 void
 TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
 {
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    bool first = true;
+    json::Writer w(os);
+    w.beginObject().key("schema").value("ifp-trace-v1");
+    w.key("displayTimeUnit").value("ns").key("traceEvents").beginArray();
 
     // Track naming: GPU process with one thread per CU plus a
     // dispatcher row, and dedicated SyncMon / CP processes.
-    writeMeta(os, pidGpu, 0, "process_name", "GPU", first);
+    writeMeta(w, pidGpu, 0, "process_name", "GPU");
     for (unsigned c = 0; c < num_cus; ++c)
-        writeMeta(os, pidGpu, static_cast<int>(c), "thread_name",
-                  "cu" + std::to_string(c), first);
-    writeMeta(os, pidGpu, static_cast<int>(num_cus), "thread_name",
-              "dispatcher", first);
-    writeMeta(os, pidSyncMon, 0, "process_name", "SyncMon", first);
-    writeMeta(os, pidSyncMon, 0, "thread_name", "conditions", first);
-    writeMeta(os, pidCp, 0, "process_name", "CommandProcessor", first);
-    writeMeta(os, pidCp, 0, "thread_name", "monitor-log", first);
+        writeMeta(w, pidGpu, static_cast<int>(c), "thread_name",
+                  "cu" + std::to_string(c));
+    writeMeta(w, pidGpu, static_cast<int>(num_cus), "thread_name",
+              "dispatcher");
+    writeMeta(w, pidSyncMon, 0, "process_name", "SyncMon");
+    writeMeta(w, pidSyncMon, 0, "thread_name", "conditions");
+    writeMeta(w, pidCp, 0, "process_name", "CommandProcessor");
+    writeMeta(w, pidCp, 0, "thread_name", "monitor-log");
 
     // One track per dispatch context under a "Kernels" process; ctx
     // ids are carried in the event value field.
@@ -172,10 +170,10 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
         }
     }
     if (any_kernel_events) {
-        writeMeta(os, pidKernels, 0, "process_name", "Kernels", first);
+        writeMeta(w, pidKernels, 0, "process_name", "Kernels");
         for (int c = 0; c <= max_ctx; ++c)
-            writeMeta(os, pidKernels, c, "thread_name",
-                      "kernel" + std::to_string(c), first);
+            writeMeta(w, pidKernels, c, "thread_name",
+                      "kernel" + std::to_string(c));
     }
 
     std::map<int, PhaseTracker> wgPhase;
@@ -187,10 +185,10 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
         if (t.open == phase)
             return;
         if (!t.open.empty())
-            writeAsync(os, "e", "wg-phase", wg, t.open, tick, first);
+            writeAsync(w, "e", "wg-phase", wg, t.open, tick);
         t.open = phase;
         if (!phase.empty())
-            writeAsync(os, "b", "wg-phase", wg, phase, tick, first);
+            writeAsync(w, "b", "wg-phase", wg, phase, tick);
     };
 
     for (const TraceEvent &ev : eventsVec) {
@@ -209,23 +207,21 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
             pid = pidKernels;
             tid = static_cast<int>(ev.value);
         }
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"ts\":" << ticksToUs(ev.tick)
-           << ",\"name\":\"" << traceEventKindName(ev.kind);
+        std::string name = traceEventKindName(ev.kind);
         if (ev.wg >= 0)
-            os << " wg" << ev.wg;
-        os << "\",\"args\":{";
-        os << "\"wg\":" << ev.wg << ",\"cu\":" << ev.cu;
+            name += " wg" + std::to_string(ev.wg);
+        w.beginObject().key("ph").value("i").key("s").value("t");
+        w.key("pid").value(pid).key("tid").value(tid);
+        w.key("ts").number(ticksToUs(ev.tick)).key("name").value(name);
+        w.key("args").beginObject();
+        w.key("wg").value(ev.wg).key("cu").value(ev.cu);
         if (ev.reason != StallReason::Running)
-            os << ",\"reason\":\"" << stallReasonName(ev.reason) << "\"";
+            w.key("reason").value(stallReasonName(ev.reason));
         if (ev.addr != 0)
-            os << ",\"addr\":" << ev.addr;
+            w.key("addr").value(ev.addr);
         if (ev.value != 0)
-            os << ",\"value\":" << ev.value;
-        os << "}}";
+            w.key("value").value(ev.value);
+        w.endObject().endObject();
 
         // Kernel async spans: queued (arrival to admission) and
         // resident (admission to completion) segments per context.
@@ -234,12 +230,12 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
             std::string &open = kernelPhase[ctx];
             auto switchSpan = [&](const char *next) {
                 if (!open.empty())
-                    writeAsyncAt(os, "e", "kernel", ctx, pidKernels,
-                                 open, ev.tick, first);
+                    writeAsyncAt(w, "e", "kernel", ctx, pidKernels,
+                                 open, ev.tick);
                 open = next;
                 if (!open.empty())
-                    writeAsyncAt(os, "b", "kernel", ctx, pidKernels,
-                                 open, ev.tick, first);
+                    writeAsyncAt(w, "b", "kernel", ctx, pidKernels,
+                                 open, ev.tick);
             };
             if (ev.kind == TraceEventKind::KernelEnqueued)
                 switchSpan("queued");
@@ -258,8 +254,8 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
           case TraceEventKind::WgDispatched:
             if (!t.alive) {
                 t.alive = true;
-                writeAsync(os, "b", "wg", ev.wg,
-                           "wg" + std::to_string(ev.wg), ev.tick, first);
+                writeAsync(w, "b", "wg", ev.wg,
+                           "wg" + std::to_string(ev.wg), ev.tick);
             }
             openPhase(ev.wg, "dispatch", ev.tick);
             break;
@@ -289,8 +285,8 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
             openPhase(ev.wg, "", ev.tick);
             if (t.alive) {
                 t.alive = false;
-                writeAsync(os, "e", "wg", ev.wg,
-                           "wg" + std::to_string(ev.wg), ev.tick, first);
+                writeAsync(w, "e", "wg", ev.wg,
+                           "wg" + std::to_string(ev.wg), ev.tick);
             }
             break;
           default:
@@ -302,18 +298,19 @@ TraceSink::writeChromeTrace(std::ostream &os, unsigned num_cus) const
     // pre-empted WGs) so the viewer renders them to the last tick.
     for (auto &[wg, t] : wgPhase) {
         if (!t.open.empty())
-            writeAsync(os, "e", "wg-phase", wg, t.open, last_tick, first);
+            writeAsync(w, "e", "wg-phase", wg, t.open, last_tick);
         if (t.alive)
-            writeAsync(os, "e", "wg", wg, "wg" + std::to_string(wg),
-                       last_tick, first);
+            writeAsync(w, "e", "wg", wg, "wg" + std::to_string(wg),
+                       last_tick);
     }
     for (auto &[ctx, open] : kernelPhase) {
         if (!open.empty())
-            writeAsyncAt(os, "e", "kernel", ctx, pidKernels, open,
-                         last_tick, first);
+            writeAsyncAt(w, "e", "kernel", ctx, pidKernels, open,
+                         last_tick);
     }
 
-    os << "\n]}\n";
+    w.endArray().endObject();
+    os << '\n';
 }
 
 } // namespace ifp::sim

@@ -124,7 +124,8 @@ class TraceSink
      * or ui.perfetto.dev): one named track per CU carrying instant
      * events, one pair of async span streams per WG (lifetime and
      * lifecycle phases), and separate SyncMon / CP processes.
-     * Timestamps are microseconds of simulated time.
+     * Timestamps are microseconds of simulated time. One compact
+     * object with schema "ifp-trace-v1".
      */
     void writeChromeTrace(std::ostream &os, unsigned num_cus) const;
 

@@ -15,6 +15,7 @@
 
 #include "analysis/interference.hh"
 #include "analysis/lint.hh"
+#include "sim/json.hh"
 #include "test_helpers.hh"
 
 namespace ifp {
@@ -351,6 +352,19 @@ TEST(Lint, JsonSerializationIsDeterministic)
     EXPECT_EQ(a.str(), b.str());
 }
 
+TEST(Lint, JsonReportParsesWithSchema)
+{
+    std::vector<analysis::Report> reports;
+    reports.push_back(lint(test::wovRaceKernel(0x1000, 0x2000, false,
+                                               2000, 1000)));
+    std::ostringstream os;
+    analysis::writeReportsJson(reports, os);
+    std::optional<sim::json::Value> doc = sim::json::tryParse(os.str());
+    ASSERT_TRUE(doc.has_value()) << os.str();
+    EXPECT_EQ(doc->find("schema")->string, "ifp-lint-v1");
+    ASSERT_EQ(doc->find("kernels")->array.size(), 1u);
+}
+
 TEST(Dataflow, WideningSaturatesInsteadOfWrapping)
 {
     // A loop counter with no provable bound widens to the +inf
@@ -552,6 +566,20 @@ TEST(Interference, SummaryJsonIsDeterministic)
     analysis::writeInterferenceSummariesJson(summaries, c);
     EXPECT_FALSE(a.str().empty());
     EXPECT_EQ(a.str(), c.str());
+}
+
+TEST(Interference, SummaryJsonParsesWithSchema)
+{
+    isa::Kernel k = pairedFlagsKernel();
+    analysis::LaunchContext launch =
+        analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024);
+    std::ostringstream os;
+    analysis::writeInterferenceSummariesJson(
+        {analysis::summarizeInterference(k, launch)}, os);
+    std::optional<sim::json::Value> doc = sim::json::tryParse(os.str());
+    ASSERT_TRUE(doc.has_value()) << os.str();
+    EXPECT_EQ(doc->find("schema")->string, "ifp-interference-v1");
+    ASSERT_EQ(doc->find("kernels")->array.size(), 1u);
 }
 
 TEST(BuilderValidation, UnboundLabelFailsBuildWithClearError)

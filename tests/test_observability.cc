@@ -13,11 +13,11 @@
 #include <sstream>
 
 #include "harness/observe.hh"
-#include "harness/results_io.hh"
 #include "harness/runner.hh"
+#include "sim/json.hh"
 
 using namespace ifp;
-using harness::json::Value;
+using sim::json::Value;
 
 namespace {
 
@@ -65,7 +65,7 @@ TEST(ChromeTrace, TinyRunProducesValidTrace)
 {
     std::string text = chromeTraceOf(tinyExperiment(core::Policy::Awg));
 
-    std::optional<Value> doc = harness::json::tryParse(text);
+    std::optional<Value> doc = sim::json::tryParse(text);
     ASSERT_TRUE(doc.has_value()) << "trace is not valid JSON";
     ASSERT_TRUE(doc->isObject());
 
@@ -144,7 +144,7 @@ TEST(StatsJson, FileExportRoundTrips)
     std::stringstream buf;
     buf << in.rdbuf();
 
-    std::optional<Value> doc = harness::json::tryParse(buf.str());
+    std::optional<Value> doc = sim::json::tryParse(buf.str());
     ASSERT_TRUE(doc.has_value()) << "stats-JSON is not valid JSON";
 
     const Value *res = doc->find("experiment-result");
@@ -168,11 +168,37 @@ TEST(StatsJson, FileExportRoundTrips)
 
     // Round trip: write the parsed document and parse it again.
     std::ostringstream rewritten;
-    harness::json::write(rewritten, *doc);
+    sim::json::write(rewritten, *doc);
     std::optional<Value> doc2 =
-        harness::json::tryParse(rewritten.str());
+        sim::json::tryParse(rewritten.str());
     ASSERT_TRUE(doc2.has_value());
     EXPECT_TRUE(*doc == *doc2);
+}
+
+TEST(ChromeTrace, DocumentCarriesSchema)
+{
+    std::optional<Value> doc = sim::json::tryParse(
+        chromeTraceOf(tinyExperiment(core::Policy::Awg)));
+    ASSERT_TRUE(doc.has_value());
+    const Value *schema = doc->find("schema");
+    ASSERT_NE(schema, nullptr);
+    EXPECT_EQ(schema->string, "ifp-trace-v1");
+}
+
+TEST(StatsJson, DocumentCarriesSchema)
+{
+    harness::Experiment exp = tinyExperiment(core::Policy::Awg);
+    exp.observe.statsJsonPath =
+        testing::TempDir() + "ifp_stats_schema.json";
+    harness::runExperiment(exp);
+    std::ifstream in(exp.observe.statsJsonPath);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::optional<Value> doc = sim::json::tryParse(buf.str());
+    ASSERT_TRUE(doc.has_value());
+    const Value *schema = doc->find("schema");
+    ASSERT_NE(schema, nullptr);
+    EXPECT_EQ(schema->string, "ifp-stats-v1");
 }
 
 TEST(StallBreakdown, PartitionsLifetimeWhenOversubscribed)
@@ -278,7 +304,7 @@ TEST(Observe, TraceFileExportMatchesInMemoryExport)
 
 TEST(JsonParser, RejectsMalformedInput)
 {
-    using harness::json::tryParse;
+    using sim::json::tryParse;
     EXPECT_FALSE(tryParse("").has_value());
     EXPECT_FALSE(tryParse("{").has_value());
     EXPECT_FALSE(tryParse("[1,]").has_value());
@@ -289,7 +315,7 @@ TEST(JsonParser, RejectsMalformedInput)
 
 TEST(JsonParser, ParsesScalarsAndNesting)
 {
-    using harness::json::tryParse;
+    using sim::json::tryParse;
     std::optional<Value> v =
         tryParse("{\"a\":[1,2.5,-3],\"b\":{\"c\":true,"
                  "\"d\":null,\"e\":\"x\\ny\"}}");
@@ -304,4 +330,56 @@ TEST(JsonParser, ParsesScalarsAndNesting)
     EXPECT_TRUE(b->find("c")->boolean);
     EXPECT_TRUE(b->find("d")->isNull());
     EXPECT_EQ(b->find("e")->string, "x\ny");
+}
+
+TEST(JsonParser, RejectsRawControlByteInString)
+{
+    // RFC 8259: control characters inside a string must be escaped.
+    EXPECT_FALSE(sim::json::tryParse("\"a\x01" "b\"").has_value());
+    EXPECT_FALSE(sim::json::tryParse("{\"k\":\"a\nb\"}").has_value());
+    EXPECT_TRUE(sim::json::tryParse("\"a\\u0001b\"").has_value());
+}
+
+TEST(JsonWriter, StringsWithQuotesAndControlBytesRoundTrip)
+{
+    const std::string nasty = "q\"b\\n\nt\tx\x01y\x1fz";
+    std::ostringstream os;
+    sim::json::Writer w(os);
+    w.beginObject().key(nasty).value(nasty).endObject();
+    std::optional<Value> doc = sim::json::tryParse(os.str());
+    ASSERT_TRUE(doc.has_value()) << os.str();
+    ASSERT_EQ(doc->object.size(), 1u);
+    EXPECT_EQ(doc->object[0].first, nasty);
+    EXPECT_EQ(doc->object[0].second.string, nasty);
+}
+
+TEST(JsonWriter, LayoutsAndNumberRule)
+{
+    auto doc = [](sim::json::Layout layout) {
+        std::ostringstream os;
+        sim::json::Writer w(os, layout);
+        w.beginObject().key("u").value(~std::uint64_t{0});
+        w.key("d").beginArray().value(2.0).value(-0.0).value(0.1);
+        w.value(1e20).endArray();
+        w.key("e").beginArray().endArray().key("o").beginObject();
+        w.endObject().key("b").value(true).endObject();
+        return os.str();
+    };
+    EXPECT_EQ(doc(sim::json::Layout::Compact),
+              "{\"u\":18446744073709551615,"
+              "\"d\":[2,0,0.10000000000000001,1e+20],"
+              "\"e\":[],\"o\":{},\"b\":true}");
+    EXPECT_EQ(doc(sim::json::Layout::Indented),
+              "{\n"
+              "  \"u\": 18446744073709551615,\n"
+              "  \"d\": [\n"
+              "    2,\n"
+              "    0,\n"
+              "    0.10000000000000001,\n"
+              "    1e+20\n"
+              "  ],\n"
+              "  \"e\": [],\n"
+              "  \"o\": {},\n"
+              "  \"b\": true\n"
+              "}");
 }

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "harness/results_io.hh"
+#include "sim/json.hh"
 #include "test_helpers.hh"
 
 namespace ifp::harness {
@@ -55,30 +56,38 @@ TEST(ResultsJson, DeadlockSerializesAsFlags)
               std::string::npos);
 }
 
-TEST(ResultsJson, ArrayFormat)
+TEST(ResultsJson, CycleTotalsRoundTripExactly)
 {
+    // Cycle totals need every digit: rounded to six significant
+    // digits (2.15833e+08) the stall buckets no longer sum to the
+    // lifetime.
     Experiment exp;
-    exp.workload = "HT";
-    exp.policy = core::Policy::Awg;
-    exp.params = ifp::test::smallParams();
-    core::RunResult r = runExperiment(exp);
+    exp.workload = "SLM_G";
+    exp.policy = core::Policy::Timeout;
+    core::RunResult r;
+    r.wgLifetimeCycles = 215833338;
+    r.wgCycleBreakdown = {26064, 0, 214720000, 0, 6400, 1080874};
 
     std::ostringstream os;
-    writeResultsJson(os, {{exp, r}, {exp, r}});
-    std::string text = os.str();
-    EXPECT_EQ(text.front(), '[');
+    writeResultJson(os, exp, r);
+    std::optional<sim::json::Value> doc = sim::json::tryParse(os.str());
+    ASSERT_TRUE(doc.has_value()) << os.str();
+    const sim::json::Value *schema = doc->find("schema");
+    ASSERT_NE(schema, nullptr);
+    EXPECT_EQ(schema->string, "ifp-result-v1");
+    EXPECT_EQ(doc->find("wgLifetimeCycles")->number, 215833338.0);
 
-    std::optional<json::Value> doc = json::tryParse(text);
-    ASSERT_TRUE(doc.has_value());
-    ASSERT_TRUE(doc->isArray());
-    ASSERT_EQ(doc->array.size(), 2u);
-    for (const json::Value &entry : doc->array) {
-        ASSERT_TRUE(entry.isObject());
-        EXPECT_NE(entry.find("gpuCycles"), nullptr);
-        const json::Value *stalls = entry.find("stallCycles");
-        ASSERT_NE(stalls, nullptr);
-        EXPECT_TRUE(stalls->isObject());
+    const sim::json::Value *stalls = doc->find("stallCycles");
+    ASSERT_NE(stalls, nullptr);
+    ASSERT_EQ(stalls->object.size(), sim::numStallReasons);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < sim::numStallReasons; ++i) {
+        EXPECT_EQ(stalls->object[i].second.number,
+                  r.wgCycleBreakdown[i]);
+        sum += stalls->object[i].second.number;
     }
+    EXPECT_EQ(sum, 215833338.0);
+    EXPECT_EQ(stalls->find("memory")->number, 1080874.0);
 }
 
 } // anonymous namespace

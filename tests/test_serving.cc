@@ -21,6 +21,7 @@
 
 #include "harness/observe.hh"
 #include "harness/serving.hh"
+#include "sim/json.hh"
 #include "test_helpers.hh"
 
 namespace ifp {
@@ -60,6 +61,22 @@ TEST(Serving, TwoTenantRerunIsByteIdentical)
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("\"schema\": \"ifp-serving-v1\""),
               std::string::npos);
+}
+
+TEST(Serving, ReportParsesBackWithSchemaAndEscapedTenant)
+{
+    harness::ServingConfig cfg = twoTenantConfig();
+    cfg.tenants[0].name = "lat\"ency";
+    std::string text = servingJson(harness::runServingScenario(cfg));
+    std::optional<sim::json::Value> doc = sim::json::tryParse(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    EXPECT_EQ(doc->find("schema")->string, "ifp-serving-v1");
+    const sim::json::Value *kernels = doc->find("kernels");
+    ASSERT_NE(kernels, nullptr);
+    bool found = false;
+    for (const sim::json::Value &k : kernels->array)
+        found = found || k.find("tenant")->string == "lat\"ency";
+    EXPECT_TRUE(found);
 }
 
 TEST(Serving, SeedChangesTheSchedule)

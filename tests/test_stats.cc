@@ -163,6 +163,35 @@ TEST(Stats, DumpJsonIsParseableShape)
     EXPECT_NE(out.find("\"hist\""), std::string::npos);
 }
 
+TEST(Stats, DumpJsonBytesArePinned)
+{
+    // bench/e2e digests these bytes against its reference.json, so
+    // the exact string is part of the contract: a change to the JSON
+    // writer's number rule or layout must fail here first.
+    StatGroup g("grp");
+    Scalar &s = g.addScalar("count", "a counter");
+    s = 3;
+    Vector &v = g.addVector("vec", 3);
+    v[0] = 1;
+    v[1] = 2.5;
+    v[2] = 1e20;
+    Histogram &h = g.addHistogram("hist", 0, 10, 2);
+    h.sample(1);
+    h.sample(2);
+    h.sample(12);
+    g.addFormula("third", [] { return 1.0 / 3.0; });
+
+    std::ostringstream os;
+    g.dumpJson(os);
+    EXPECT_EQ(os.str(),
+              "{\"name\":\"grp\",\"scalars\":{\"count\":3},"
+              "\"vectors\":{\"vec\":[1,2.5,1e+20]},"
+              "\"histograms\":{\"hist\":{\"samples\":3,\"mean\":5,"
+              "\"min\":1,\"max\":12,\"underflows\":0,\"overflows\":1,"
+              "\"buckets\":[2,0]}},"
+              "\"formulas\":{\"third\":0.33333333333333331}}");
+}
+
 TEST(Stats, GroupReset)
 {
     StatGroup g("g");

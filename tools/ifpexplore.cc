@@ -23,14 +23,18 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "explore/explore.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "workloads/litmus.hh"
 
 namespace {
 
+using ifp::cli::parseCount;
+using ifp::cli::parsePolicy;
+using ifp::cli::styleName;
 using ifp::core::Policy;
-using ifp::core::SyncStyle;
 using ifp::core::Verdict;
 
 struct Options
@@ -48,33 +52,6 @@ struct Options
     bool list = false;
     bool noLint = false;
 };
-
-Policy
-parsePolicy(const std::string &name)
-{
-    for (Policy p : {Policy::Baseline, Policy::Sleep, Policy::Timeout,
-                     Policy::MonRSAll, Policy::MonRAll,
-                     Policy::MonNRAll, Policy::MonNROne, Policy::Awg,
-                     Policy::MinResume}) {
-        if (name == ifp::core::policyName(p))
-            return p;
-    }
-    ifp_fatal("unknown policy '%s' (try Baseline, Sleep, Timeout, "
-              "MonRS-All, MonR-All, MonNR-All, MonNR-One, MinResume, "
-              "AWG)", name.c_str());
-}
-
-const char *
-styleName(SyncStyle style)
-{
-    switch (style) {
-      case SyncStyle::Busy: return "Busy";
-      case SyncStyle::SleepBackoff: return "SleepBackoff";
-      case SyncStyle::WaitInstr: return "WaitInstr";
-      case SyncStyle::WaitAtomic: return "WaitAtomic";
-    }
-    return "?";
-}
 
 void
 usage()
@@ -108,23 +85,30 @@ usage()
 
 void
 printVerdictCounts(std::ostream &os,
-                   const ifp::explore::VerdictCounts &counts,
-                   bool json)
+                   const ifp::explore::VerdictCounts &counts)
 {
     bool first = true;
     for (std::size_t v = 0; v < counts.size(); ++v) {
         if (counts[v] == 0)
             continue;
-        const char *name =
-            ifp::core::verdictName(static_cast<Verdict>(v));
-        if (json) {
-            os << (first ? "" : ", ") << "\"" << name
-               << "\": " << counts[v];
-        } else {
-            os << (first ? "" : " ") << name << "x" << counts[v];
-        }
+        os << (first ? "" : " ")
+           << ifp::core::verdictName(static_cast<Verdict>(v)) << "x"
+           << counts[v];
         first = false;
     }
+}
+
+void
+writeVerdictCounts(ifp::sim::json::Writer &w,
+                   const ifp::explore::VerdictCounts &counts)
+{
+    w.beginObject();
+    for (std::size_t v = 0; v < counts.size(); ++v) {
+        if (counts[v] != 0)
+            w.key(ifp::core::verdictName(static_cast<Verdict>(v)))
+                .value(counts[v]);
+    }
+    w.endObject();
 }
 
 } // namespace
@@ -148,20 +132,23 @@ main(int argc, char **argv)
             opt.policy = value();
         } else if (arg == "--schedules") {
             opt.schedules =
-                static_cast<unsigned>(std::stoul(value()));
+                parseCount<unsigned>(arg.c_str(), value().c_str());
         } else if (arg == "--seed") {
-            opt.seed = std::stoull(value());
+            opt.seed =
+                parseCount<std::uint64_t>(arg.c_str(), value().c_str());
         } else if (arg == "--exhaustive") {
             opt.exhaustive = true;
         } else if (arg == "--por") {
             opt.por = true;
         } else if (arg == "--max-schedules") {
             opt.maxSchedules =
-                static_cast<unsigned>(std::stoul(value()));
+                parseCount<unsigned>(arg.c_str(), value().c_str());
         } else if (arg == "--max-depth") {
-            opt.maxDepth = static_cast<unsigned>(std::stoul(value()));
+            opt.maxDepth =
+                parseCount<unsigned>(arg.c_str(), value().c_str());
         } else if (arg == "--max-cycles") {
-            opt.maxCycles = std::stoull(value());
+            opt.maxCycles =
+                parseCount<std::uint64_t>(arg.c_str(), value().c_str());
         } else if (arg == "--json") {
             opt.json = true;
         } else if (arg == "--no-lint") {
@@ -199,21 +186,23 @@ main(int argc, char **argv)
 
     bool ok = true;
     std::ostream &os = std::cout;
-    if (opt.json)
-        os << "{\n  \"litmuses\": [\n";
+    ifp::sim::json::Writer w(os, ifp::sim::json::Layout::Indented);
+    if (opt.json) {
+        w.beginObject().key("schema").value("ifp-explore-v1");
+        w.key("litmuses").beginArray();
+    }
 
-    for (std::size_t li = 0; li < names.size(); ++li) {
-        auto litmus = ifp::workloads::makeLitmus(names[li]);
+    for (const std::string &name : names) {
+        auto litmus = ifp::workloads::makeLitmus(name);
         const auto &spec = litmus->spec();
 
         if (opt.json) {
-            os << "    {\n      \"name\": \"" << spec.name
-               << "\",\n      \"cells\": [\n";
+            w.beginObject().key("name").value(spec.name);
+            w.key("cells").beginArray();
         } else {
             os << "== " << spec.name << " ==\n";
         }
 
-        bool firstCell = true;
         if (opt.exhaustive) {
             ifp::explore::ExhaustiveConfig cfg;
             cfg.maxSchedules = opt.maxSchedules;
@@ -233,26 +222,23 @@ main(int argc, char **argv)
                 }
                 ok = ok && cellOk;
                 if (opt.json) {
-                    os << (firstCell ? "" : ",\n")
-                       << "        {\"policy\": \""
-                       << ifp::core::policyName(policy)
-                       << "\", \"expected\": \""
-                       << ifp::core::verdictName(expected)
-                       << "\", \"observed\": {";
-                    printVerdictCounts(os, r.counts, true);
-                    os << "}, \"schedules\": " << r.schedulesRun
-                       << ", \"pruned\": " << r.pruned
-                       << ", \"porSkipped\": " << r.porSkipped
-                       << ", \"frontierExhausted\": "
-                       << (r.frontierExhausted ? "true" : "false")
-                       << ", \"ok\": " << (cellOk ? "true" : "false")
-                       << "}";
+                    w.beginObject();
+                    w.key("policy").value(ifp::core::policyName(policy));
+                    w.key("expected").value(
+                        ifp::core::verdictName(expected));
+                    w.key("observed");
+                    writeVerdictCounts(w, r.counts);
+                    w.key("schedules").value(r.schedulesRun);
+                    w.key("pruned").value(r.pruned);
+                    w.key("porSkipped").value(r.porSkipped);
+                    w.key("frontierExhausted").value(r.frontierExhausted);
+                    w.key("ok").value(cellOk).endObject();
                 } else {
                     os << "  " << ifp::core::policyName(policy)
                        << ": expected "
                        << ifp::core::verdictName(expected)
                        << ", observed ";
-                    printVerdictCounts(os, r.counts, false);
+                    printVerdictCounts(os, r.counts);
                     os << " over " << r.schedulesRun
                        << " schedules (pruned " << r.pruned
                        << ", por-skipped " << r.porSkipped
@@ -262,7 +248,6 @@ main(int argc, char **argv)
                        << ") -> "
                        << (cellOk ? "OK" : "MISMATCH") << "\n";
                 }
-                firstCell = false;
             }
         } else {
             ifp::explore::LitmusRunConfig run;
@@ -274,59 +259,48 @@ main(int argc, char **argv)
                     continue;
                 ok = ok && cell.ok;
                 if (opt.json) {
-                    os << (firstCell ? "" : ",\n")
-                       << "        {\"policy\": \""
-                       << ifp::core::policyName(cell.policy)
-                       << "\", \"expected\": \""
-                       << ifp::core::verdictName(cell.expected)
-                       << "\", \"observed\": {";
-                    printVerdictCounts(os, cell.observed, true);
-                    os << "}, \"schedules\": " << cell.schedules
-                       << ", \"invalid\": " << cell.invalid
-                       << ", \"ok\": "
-                       << (cell.ok ? "true" : "false") << "}";
+                    w.beginObject();
+                    w.key("policy").value(
+                        ifp::core::policyName(cell.policy));
+                    w.key("expected").value(
+                        ifp::core::verdictName(cell.expected));
+                    w.key("observed");
+                    writeVerdictCounts(w, cell.observed);
+                    w.key("schedules").value(cell.schedules);
+                    w.key("invalid").value(cell.invalid);
+                    w.key("ok").value(cell.ok).endObject();
                 } else {
                     os << "  " << ifp::core::policyName(cell.policy)
                        << ": expected "
                        << ifp::core::verdictName(cell.expected)
                        << ", observed ";
-                    printVerdictCounts(os, cell.observed, false);
+                    printVerdictCounts(os, cell.observed);
                     os << " over " << cell.schedules << " schedules"
                        << " -> " << (cell.ok ? "OK" : "MISMATCH")
                        << "\n";
                 }
-                firstCell = false;
             }
         }
 
         if (opt.json)
-            os << "\n      ]";
+            w.endArray();
 
         if (!opt.noLint) {
             auto lintCells = ifp::explore::lintCrossCheck(*litmus);
             if (opt.json)
-                os << ",\n      \"lint\": [\n";
-            bool firstLint = true;
+                w.key("lint").beginArray();
             for (const auto &cell : lintCells) {
                 ok = ok && cell.ok;
                 if (opt.json) {
-                    os << (firstLint ? "" : ",\n")
-                       << "        {\"style\": \""
-                       << styleName(cell.style)
-                       << "\", \"unexpected\": [";
-                    for (std::size_t i = 0;
-                         i < cell.unexpected.size(); ++i) {
-                        os << (i ? ", " : "") << "\""
-                           << cell.unexpected[i] << "\"";
-                    }
-                    os << "], \"missing\": [";
-                    for (std::size_t i = 0; i < cell.missing.size();
-                         ++i) {
-                        os << (i ? ", " : "") << "\""
-                           << cell.missing[i] << "\"";
-                    }
-                    os << "], \"ok\": "
-                       << (cell.ok ? "true" : "false") << "}";
+                    w.beginObject();
+                    w.key("style").value(styleName(cell.style));
+                    w.key("unexpected").beginArray();
+                    for (const std::string &c : cell.unexpected)
+                        w.value(c);
+                    w.endArray().key("missing").beginArray();
+                    for (const std::string &c : cell.missing)
+                        w.value(c);
+                    w.endArray().key("ok").value(cell.ok).endObject();
                 } else if (!cell.ok) {
                     os << "  lint " << styleName(cell.style) << ":";
                     for (const auto &c : cell.unexpected)
@@ -335,10 +309,9 @@ main(int argc, char **argv)
                         os << " missing:" << c;
                     os << " -> MISMATCH\n";
                 }
-                firstLint = false;
             }
             if (opt.json)
-                os << "\n      ]";
+                w.endArray();
             else
                 os << "  lint: "
                    << (std::all_of(lintCells.begin(),
@@ -352,13 +325,12 @@ main(int argc, char **argv)
         }
 
         if (opt.json)
-            os << "\n    }" << (li + 1 < names.size() ? "," : "")
-               << "\n";
+            w.endObject();
     }
 
     if (opt.json) {
-        os << "  ],\n  \"ok\": " << (ok ? "true" : "false")
-           << "\n}\n";
+        w.endArray().key("ok").value(ok).endObject();
+        os << '\n';
     } else {
         os << (ok ? "all cells agree with their annotations\n"
                   : "ANNOTATION MISMATCH (see above)\n");

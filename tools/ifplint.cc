@@ -20,12 +20,16 @@
 
 #include "analysis/interference.hh"
 #include "analysis/lint.hh"
+#include "cli.hh"
 #include "core/gpu_system.hh"
 #include "core/policy.hh"
 #include "sim/logging.hh"
 #include "workloads/registry.hh"
 
 namespace {
+
+using ifp::cli::parseCount;
+using ifp::cli::styleName;
 
 struct Options
 {
@@ -37,23 +41,6 @@ struct Options
     bool interference = false;
     ifp::workloads::WorkloadParams params;
 };
-
-const char *
-styleName(ifp::core::SyncStyle style)
-{
-    using ifp::core::SyncStyle;
-    switch (style) {
-      case SyncStyle::Busy:
-        return "Busy";
-      case SyncStyle::SleepBackoff:
-        return "SleepBackoff";
-      case SyncStyle::WaitInstr:
-        return "WaitInstr";
-      case SyncStyle::WaitAtomic:
-        return "WaitAtomic";
-    }
-    return "?";
-}
 
 void
 usage()
@@ -113,13 +100,13 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--Werror")) {
             opt.werror = true;
         } else if (!std::strcmp(a, "--wgs")) {
-            opt.params.numWgs = std::atoi(need(i));
+            opt.params.numWgs = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--group")) {
-            opt.params.wgsPerGroup = std::atoi(need(i));
+            opt.params.wgsPerGroup = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--wi")) {
-            opt.params.wiPerWg = std::atoi(need(i));
+            opt.params.wiPerWg = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--iters")) {
-            opt.params.iters = std::atoi(need(i));
+            opt.params.iters = parseCount(a, need(i), 1u);
         } else {
             usage();
             ifp_fatal("unknown option '%s'", a);

@@ -14,15 +14,13 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <type_traits>
 
+#include "cli.hh"
 #include "core/fault_plan.hh"
 #include "harness/results_io.hh"
 #include "harness/runner.hh"
@@ -31,6 +29,9 @@
 #include "workloads/registry.hh"
 
 namespace {
+
+using ifp::cli::parseCount;
+using ifp::cli::parsePolicy;
 
 struct Options
 {
@@ -54,47 +55,9 @@ struct Options
     ifp::core::RunConfig runCfg;
 };
 
-/**
- * The value of numeric flag @p flag: the whole of @p text as a
- * decimal integer in [@p min, @p max]. Anything else (a sign,
- * trailing characters, overflow) is fatal and names the flag.
- */
-template <typename T>
-T
-parseCount(const char *flag, const char *text, T min = 0,
-           T max = std::numeric_limits<T>::max())
-{
-    static_assert(std::is_unsigned_v<T>);
-    T value{};
-    const char *end = text + std::strlen(text);
-    auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end || value < min || value > max) {
-        ifp_fatal("%s expects an integer in [%s, %s], got '%s'", flag,
-                  std::to_string(min).c_str(),
-                  std::to_string(max).c_str(), text);
-    }
-    return value;
-}
-
 /** Largest fault time, in microseconds, whose tick count fits. */
 constexpr std::uint64_t maxFaultUs =
     ifp::sim::maxTick / ifp::sim::ticksFromMicroseconds(1);
-
-ifp::core::Policy
-parsePolicy(const std::string &name)
-{
-    using ifp::core::Policy;
-    for (Policy p :
-         {Policy::Baseline, Policy::Sleep, Policy::Timeout,
-          Policy::MonRSAll, Policy::MonRAll, Policy::MonNRAll,
-          Policy::MonNROne, Policy::Awg, Policy::MinResume}) {
-        if (name == ifp::core::policyName(p))
-            return p;
-    }
-    ifp_fatal("unknown policy '%s' (try Baseline, Sleep, Timeout, "
-              "MonRS-All, MonR-All, MonNR-All, MonNR-One, MinResume, "
-              "AWG)", name.c_str());
-}
 
 void
 usage()

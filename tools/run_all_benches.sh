@@ -92,11 +92,15 @@ if [ "${1:-}" = "--verify" ]; then
     # Both runs exit 0 above (set -e), so every cell's observed
     # verdicts match the annotation with and without the reduction;
     # on top of that the reduced run must visit no more schedules.
-    base_total=$(grep -o '"schedules": [0-9]*' "$por_tmp/base.json" |
-                 awk '{ sum += $2 } END { print sum }')
-    por_total=$(grep -o '"schedules": [0-9]*' "$por_tmp/por.json" |
-                awk '{ sum += $2 } END { print sum }')
+    base_total=$(grep -o '"schedules": *[0-9]*' "$por_tmp/base.json" |
+                 awk -F: '{ sum += $2 } END { print sum + 0 }')
+    por_total=$(grep -o '"schedules": *[0-9]*' "$por_tmp/por.json" |
+                awk -F: '{ sum += $2 } END { print sum + 0 }')
     rm -rf "$por_tmp"
+    if [ "$base_total" -eq 0 ] || [ "$por_total" -eq 0 ]; then
+        echo "FAIL: no schedule counts in the ifpexplore --json output" >&2
+        exit 1
+    fi
     if [ "$por_total" -gt "$base_total" ]; then
         echo "FAIL: POR visited $por_total schedules vs $base_total unreduced" >&2
         exit 1
