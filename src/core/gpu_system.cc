@@ -142,7 +142,10 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
     }
 }
 
-GpuSystem::~GpuSystem() = default;
+GpuSystem::~GpuSystem()
+{
+    eq.clear();  // CU ticks may be queued, and the CUs die first
+}
 
 mem::Addr
 GpuSystem::allocate(std::uint64_t bytes, std::uint64_t align)

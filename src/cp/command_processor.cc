@@ -132,7 +132,7 @@ CommandProcessor::ensureHousekeeping()
     housekeepingScheduled = true;
     eventq().schedule(clockEdge(config.checkIntervalCycles),
                       [this] { housekeeping(); },
-                      name() + ".housekeeping");
+                      "cp.housekeeping");
 }
 
 void

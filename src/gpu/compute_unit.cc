@@ -19,11 +19,6 @@ ComputeUnit::ComputeUnit(std::string name, sim::EventQueue &eq,
       pool(request_pool),
       simdWfs(cfg.simdsPerCu),
       rrIndex(cfg.simdsPerCu, 0),
-      descTick(this->name() + ".tick"),
-      descWake(this->name() + ".wake"),
-      descRescue(this->name() + ".rescue"),
-      descSwitchReq(this->name() + ".switchReq"),
-      descWgDone(this->name() + ".wgDone"),
       statGroup(this->name()),
       numInstructions(statGroup.addScalar("instructions",
                                           "instructions issued")),
@@ -184,10 +179,9 @@ ComputeUnit::wakeWf(Wavefront &wf)
 void
 ComputeUnit::notifyReady()
 {
-    if (tickScheduled || !anyIssuable())
+    if (tickEvent.scheduled() || !anyIssuable())
         return;
-    tickScheduled = true;
-    eventq().schedule(clockEdge(1), [this] { tick(); }, descTick);
+    eventq().schedule(&tickEvent, clockEdge(1));
 }
 
 bool
@@ -212,7 +206,6 @@ ComputeUnit::anyIssuable() const
 void
 ComputeUnit::tick()
 {
-    tickScheduled = false;
     bool issued = false;
 
     for (unsigned s = 0; s < config.simdsPerCu; ++s) {
@@ -454,7 +447,7 @@ ComputeUnit::executeInstr(Wavefront &wf)
             eventq().schedule(curTick(), [this, wg] {
                 if (listener)
                     listener->wgCompleted(wg);
-            }, descWgDone);
+            }, "cu.wgDone");
         } else {
             wg->refreshRunBucket(curTick());
         }
@@ -620,7 +613,7 @@ ComputeUnit::applyWaitDecision(Wavefront &wf, mem::Addr addr,
         eventq().schedule(curTick(), [this, wg, rescue] {
             if (listener)
                 listener->wgWantsSwitch(wg, rescue);
-        }, descSwitchReq);
+        }, "cu.switchReq");
         return;
       }
     }
@@ -640,7 +633,7 @@ ComputeUnit::scheduleWake(Wavefront &wf, sim::Cycles cycles)
         }
         wakeWf(*wfp);
         checkDrained(wfp->wg);
-    }, descWake);
+    }, "cu.wake");
 }
 
 void
@@ -685,11 +678,11 @@ ComputeUnit::scheduleRescue(Wavefront &wf, mem::Addr addr,
             eventq().schedule(curTick(), [this, wg, rescue] {
                 if (listener)
                     listener->wgWantsSwitch(wg, rescue);
-            }, descSwitchReq);
+            }, "cu.switchReq");
             return;
           }
         }
-    }, descRescue);
+    }, "cu.rescue");
 }
 
 } // namespace ifp::gpu

@@ -104,6 +104,19 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     const sim::StatGroup &stats() const { return statGroup; }
 
   private:
+    /**
+     * Issue event, queued for the next edge while any wavefront can
+     * issue: a member, since ticks are most of a run's events.
+     */
+    struct TickEvent : sim::Event
+    {
+        explicit TickEvent(ComputeUnit &c) : cu(c) {}
+        void process() override { cu.tick(); }
+        const char *description() const override { return "cu.tick"; }
+
+        ComputeUnit &cu;
+    };
+
     void tick();
     bool anyIssuable() const;
     bool issuable(const Wavefront &wf) const;
@@ -135,18 +148,9 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     std::vector<WorkGroup *> resident;
     unsigned ldsUsed = 0;
     bool offlineFlag = false;
-    bool tickScheduled = false;
+    TickEvent tickEvent{*this};
 
     std::unordered_map<int, std::function<void()>> drainCallbacks;
-
-    /// @name Precomputed event descriptions (hot path: no concats)
-    /// @{
-    std::string descTick;
-    std::string descWake;
-    std::string descRescue;
-    std::string descSwitchReq;
-    std::string descWgDone;
-    /// @}
 
     sim::StatGroup statGroup;
     sim::Scalar &numInstructions;

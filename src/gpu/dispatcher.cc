@@ -370,7 +370,7 @@ Dispatcher::startFresh(WorkGroup *w, ComputeUnit *cu)
                       [cu, w, epoch] {
         if (w->dispatchEpoch == epoch)
             cu->activateWg(w);
-    }, name() + ".activate");
+    }, "dispatcher.activate");
 }
 
 void

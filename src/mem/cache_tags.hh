@@ -6,12 +6,19 @@
  * replacement state only; data lives in the functional BackingStore.
  * Lines can be pinned (the L2 pins lines whose monitored bit is set,
  * per the paper) and pinned lines are never chosen as victims.
+ *
+ * A way is valid iff its epoch word equals the current epoch, so
+ * invalidateAll() (the L1's flash on every acquire) is one increment.
+ * Invariant: no Line field is read unless that way's epoch word
+ * matches, so Lines are allocated uninitialised.
  */
 
 #ifndef IFP_MEM_CACHE_TAGS_HH
 #define IFP_MEM_CACHE_TAGS_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -25,12 +32,14 @@ class CacheTags
   public:
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        bool pinned = false;
-        Addr lineAddr = 0;      //!< address of first byte in the line
-        std::uint64_t lastUsed = 0;
+        bool dirty;
+        bool pinned;
+        Addr lineAddr;          //!< address of first byte in the line
+        std::uint64_t lastUsed;
     };
+
+    /** Small words; a wrap rewrites them once per 65,535 flashes. */
+    using Epoch = std::uint16_t;
 
     /** Outcome of inserting a new line. */
     struct Victim
@@ -44,7 +53,8 @@ class CacheTags
     CacheTags(std::size_t size_bytes, unsigned assoc, unsigned line_bytes)
         : lineBytes(line_bytes), associativity(assoc),
           numSets(size_bytes / (assoc * line_bytes)),
-          lines(numSets * assoc), useCounters(numSets, 0)
+          lines(std::make_unique_for_overwrite<Line[]>(numSets * assoc)),
+          lineEpoch(numSets * assoc, invalidEpoch), useCounters(numSets, 0)
     {
         ifp_assert(numSets > 0, "cache too small for its associativity");
         ifp_assert((numSets & (numSets - 1)) == 0,
@@ -59,11 +69,10 @@ class CacheTags
     lookup(Addr addr)
     {
         Addr line_addr = lineOf(addr);
-        std::size_t set = setOf(line_addr);
-        for (unsigned way = 0; way < associativity; ++way) {
-            Line &line = lines[set * associativity + way];
-            if (line.valid && line.lineAddr == line_addr)
-                return &line;
+        std::size_t base = setOf(line_addr) * associativity;
+        for (std::size_t i = base; i < base + associativity; ++i) {
+            if (lineEpoch[i] == epoch && lines[i].lineAddr == line_addr)
+                return &lines[i];
         }
         return nullptr;
     }
@@ -88,18 +97,20 @@ class CacheTags
     insert(Addr addr, Line **out_line = nullptr)
     {
         Addr line_addr = lineOf(addr);
-        std::size_t set = setOf(line_addr);
+        std::size_t base = setOf(line_addr) * associativity;
         Line *victim = nullptr;
-        for (unsigned way = 0; way < associativity; ++way) {
-            Line &line = lines[set * associativity + way];
-            if (!line.valid) {
-                victim = &line;
+        bool victim_valid = true;
+        for (std::size_t i = base; i < base + associativity; ++i) {
+            if (lineEpoch[i] != epoch) {  // free: displaces nothing
+                lineEpoch[i] = epoch;
+                victim = &lines[i];
+                victim_valid = false;
                 break;
             }
-            if (line.pinned)
+            if (lines[i].pinned)
                 continue;
-            if (!victim || line.lastUsed < victim->lastUsed)
-                victim = &line;
+            if (!victim || lines[i].lastUsed < victim->lastUsed)
+                victim = &lines[i];
         }
 
         Victim result;
@@ -107,12 +118,11 @@ class CacheTags
             result.noWayFree = true;
             return result;
         }
-        if (victim->valid) {
+        if (victim_valid) {
             result.evicted = true;
             result.wasDirty = victim->dirty;
             result.lineAddr = victim->lineAddr;
         }
-        victim->valid = true;
         victim->dirty = false;
         victim->pinned = false;
         victim->lineAddr = line_addr;
@@ -126,8 +136,10 @@ class CacheTags
     void
     invalidateAll()
     {
-        for (Line &line : lines)
-            line.valid = false;
+        if (++epoch == invalidEpoch) {  // wrapped: no old line may match
+            std::fill(lineEpoch.begin(), lineEpoch.end(), invalidEpoch);
+            epoch = invalidEpoch + 1;
+        }
     }
 
     /** Invalidate one line if present. */
@@ -135,7 +147,7 @@ class CacheTags
     invalidate(Addr addr)
     {
         if (Line *line = lookup(addr))
-            line->valid = false;
+            lineEpoch[line - lines.get()] = invalidEpoch;
     }
 
     std::size_t sets() const { return numSets; }
@@ -146,13 +158,13 @@ class CacheTags
     std::size_t
     numValid() const
     {
-        std::size_t n = 0;
-        for (const Line &line : lines)
-            n += line.valid ? 1 : 0;
-        return n;
+        return static_cast<std::size_t>(
+            std::count(lineEpoch.begin(), lineEpoch.end(), epoch));
     }
 
   private:
+    static constexpr Epoch invalidEpoch = 0;  //!< never the epoch
+
     std::size_t setOf(Addr line_addr) const
     {
         return (line_addr / lineBytes) & (numSets - 1);
@@ -161,7 +173,9 @@ class CacheTags
     unsigned lineBytes;
     unsigned associativity;
     std::size_t numSets;
-    std::vector<Line> lines;
+    std::unique_ptr<Line[]> lines;
+    std::vector<Epoch> lineEpoch;  //!< per way; valid iff == epoch
+    Epoch epoch = invalidEpoch + 1;
     std::vector<std::uint64_t> useCounters;
 };
 

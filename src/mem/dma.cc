@@ -55,7 +55,7 @@ DmaEngine::startNext()
         if (cb)
             cb();
         startNext();
-    }, name() + ".xfer");
+    }, "dma.xfer");
 }
 
 } // namespace ifp::mem

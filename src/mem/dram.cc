@@ -10,8 +10,6 @@ Dram::Dram(std::string name, sim::EventQueue &eq, const DramConfig &cfg)
     : Clocked(std::move(name), eq, cfg.clockPeriod),
       config(cfg),
       channelState(cfg.channels),
-      descDrain(this->name() + ".drain"),
-      descResp(this->name() + ".resp"),
       statGroup(this->name()),
       numReads(statGroup.addScalar("reads", "requests serviced (reads)")),
       numWrites(statGroup.addScalar("writes",
@@ -54,7 +52,7 @@ Dram::drainChannel(unsigned idx)
         eventq().schedule(ch.busyUntil, [this, idx] {
             channelState[idx].drainScheduled = false;
             drainChannel(idx);
-        }, descDrain);
+        }, "dram.drain");
         return;
     }
 
@@ -70,14 +68,14 @@ Dram::drainChannel(unsigned idx)
     ch.busyUntil = now + cyclesToTicks(config.burstCycles);
     sim::Tick done = now + cyclesToTicks(config.accessLatency);
     eventq().schedule(done, [r = std::move(req)] { r->respond(); },
-                      descResp);
+                      "dram.resp");
 
     if (!ch.queue.empty()) {
         ch.drainScheduled = true;
         eventq().schedule(ch.busyUntil, [this, idx] {
             channelState[idx].drainScheduled = false;
             drainChannel(idx);
-        }, descDrain);
+        }, "dram.drain");
     }
 }
 

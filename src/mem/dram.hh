@@ -63,12 +63,6 @@ class Dram : public sim::Clocked, public MemDevice
     DramConfig config;
     std::vector<Channel> channelState;
 
-    /// @name Precomputed event descriptions (hot path: no concats)
-    /// @{
-    std::string descDrain;
-    std::string descResp;
-    /// @}
-
     sim::StatGroup statGroup;
     sim::Scalar &numReads;
     sim::Scalar &numWrites;

@@ -12,9 +12,6 @@ L1Cache::L1Cache(std::string name, sim::EventQueue &eq,
       tags(cfg.sizeBytes, cfg.assoc, cfg.lineBytes),
       next(next_level),
       pool(request_pool),
-      descHit(this->name() + ".hit"),
-      descFill(this->name() + ".fill"),
-      descBypass(this->name() + ".bypass"),
       statGroup(this->name()),
       hits(statGroup.addScalar("hits", "read hits")),
       misses(statGroup.addScalar("misses", "read misses")),
@@ -61,7 +58,7 @@ L1Cache::access(const MemRequestPtr &req)
         // Charge the bypass latency on the way in.
         eventq().schedule(clockEdge(config.bypassLatency),
                           [this, req] { next.access(req); },
-                          descBypass);
+                          "l1.bypass");
         return;
       }
     }
@@ -75,7 +72,7 @@ L1Cache::handleRead(const MemRequestPtr &req)
         ++hits;
         tags.touch(*line);
         eventq().schedule(clockEdge(config.hitLatency),
-                          [req] { req->respond(); }, descHit);
+                          [req] { req->respond(); }, "l1.hit");
         return;
     }
 
@@ -115,7 +112,7 @@ L1Cache::handleFill(Addr line_addr)
 
     for (const MemRequestPtr &req : waiting) {
         eventq().schedule(clockEdge(config.hitLatency),
-                          [req] { req->respond(); }, descFill);
+                          [req] { req->respond(); }, "l1.fill");
     }
 }
 

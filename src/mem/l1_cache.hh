@@ -86,13 +86,6 @@ class L1Cache : public sim::Clocked, public MemDevice,
     /** Reads outstanding per missing line (MSHR-style merging). */
     std::unordered_map<Addr, std::vector<MemRequestPtr>> mshrs;
 
-    /// @name Precomputed event descriptions (hot path: no concats)
-    /// @{
-    std::string descHit;
-    std::string descFill;
-    std::string descBypass;
-    /// @}
-
     sim::StatGroup statGroup;
     sim::Scalar &hits;
     sim::Scalar &misses;

@@ -17,9 +17,6 @@ L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
       pool(request_pool),
       tags(config.sizeBytes, config.assoc, config.lineBytes),
       banks(config.banks),
-      descDrain(this->name() + ".drain"),
-      descLineBusy(this->name() + ".lineBusy"),
-      descFinish(this->name() + ".finish"),
       statGroup(this->name()),
       hits(statGroup.addScalar("hits", "accesses hitting in the tags")),
       misses(statGroup.addScalar("misses", "accesses missing")),
@@ -94,7 +91,7 @@ L2Cache::drainBank(unsigned idx)
         eventq().schedule(bank.busyUntil, [this, idx] {
             banks[idx].drainScheduled = false;
             drainBank(idx);
-        }, descDrain);
+        }, "l2.drain");
         return;
     }
 
@@ -116,7 +113,7 @@ L2Cache::drainBank(unsigned idx)
             eventq().schedule(it->second, [this, idx] {
                 banks[idx].drainScheduled = false;
                 drainBank(idx);
-            }, descLineBusy);
+            }, "l2.lineBusy");
             return;
         }
     }
@@ -140,7 +137,7 @@ L2Cache::drainBank(unsigned idx)
         eventq().schedule(bank.busyUntil, [this, idx] {
             banks[idx].drainScheduled = false;
             drainBank(idx);
-        }, descDrain);
+        }, "l2.drain");
     }
 }
 
@@ -149,7 +146,7 @@ L2Cache::scheduleFinish(MemRequestPtr req)
 {
     eventq().schedule(clockEdge(cfg.hitLatency),
                       [this, r = std::move(req)] { finishAccess(r); },
-                      descFinish);
+                      "l2.finish");
 }
 
 void

@@ -132,13 +132,6 @@ class L2Cache : public sim::Clocked, public MemDevice,
     std::unordered_set<Addr> monitoredLines;
     std::size_t maxMonitoredLines = 0;
 
-    /// @name Precomputed event descriptions (hot path: no concats)
-    /// @{
-    std::string descDrain;
-    std::string descLineBusy;
-    std::string descFinish;
-    /// @}
-
     sim::StatGroup statGroup;
     sim::Scalar &hits;
     sim::Scalar &misses;

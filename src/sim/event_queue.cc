@@ -7,8 +7,7 @@ namespace ifp::sim {
 Event::~Event()
 {
     ifp_assert(!_scheduled,
-               "event '%s' destroyed while scheduled",
-               description().c_str());
+               "event '%s' destroyed while scheduled", description());
 }
 
 namespace {
@@ -29,18 +28,31 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
-    // Squash whatever is left so owned events can be destroyed and
-    // externally-owned events do not trip the Event destructor assert.
+    clear();  // so no event dies scheduled, owned or external
+}
+
+void
+EventQueue::clear()
+{
     while (!heap.empty()) {
         HeapEntry entry = heap.top();
         heap.pop();
-        if (entry.event->_scheduled &&
-            entry.event->_sequence == entry.sequence) {
-            entry.event->_scheduled = false;
-        }
+        Event *event = entry.event;
+        if (!event->_scheduled || event->_sequence != entry.sequence)
+            continue;  // stale entry: its event is no longer pending
+        event->_scheduled = false;
+        if (event->_owned)
+            park(event);
     }
-    freeList.clear();
-    owned.clear();
+    liveEvents = 0;
+}
+
+void
+EventQueue::park(Event *event)
+{
+    auto *lam = static_cast<LambdaEvent *>(event);
+    lam->release();
+    freeList.push_back(lam);
 }
 
 void
@@ -48,15 +60,14 @@ EventQueue::schedule(Event *event, Tick when)
 {
     ifp_assert(event != nullptr, "scheduling null event");
     ifp_assert(!event->_scheduled, "event '%s' already scheduled",
-               event->description().c_str());
+               event->description());
     ifp_assert(when >= _curTick,
                "scheduling event '%s' in the past (%lu < %lu)",
-               event->description().c_str(),
+               event->description(),
                static_cast<unsigned long>(when),
                static_cast<unsigned long>(_curTick));
 
     event->_scheduled = true;
-    event->_squashed = false;
     event->_when = when;
     event->_sequence = nextSequence++;
     heap.push(HeapEntry{when, event->_sequence, event});
@@ -74,20 +85,18 @@ EventQueue::descheduleImpl(Event *event, bool recycleOwned)
 {
     ifp_assert(event != nullptr, "descheduling null event");
     ifp_assert(event->_scheduled, "event '%s' not scheduled",
-               event->description().c_str());
+               event->description());
     event->_scheduled = false;
-    event->_squashed = true;
     ifp_assert(liveEvents > 0, "live event underflow");
     --liveEvents;
     if (event->_owned && recycleOwned) {
         // Squashed queue-owned one-shot: release its captures and
         // recycle it now. The stale heap entry is harmless — reuse
         // assigns a strictly newer sequence number, so the pop loop
-        // skips it — and never recycles (only this path and the
-        // post-process path park events, so no double-free).
-        auto *lam = static_cast<LambdaEvent *>(event);
-        lam->release();
-        freeList.push_back(lam);
+        // skips it — and never recycles (only this path, the
+        // post-process path and clear() park events, each only a
+        // pending one, so no double-free).
+        park(event);
     }
 }
 
@@ -103,7 +112,7 @@ EventQueue::reschedule(Event *event, Tick when)
 }
 
 Event *
-EventQueue::schedule(Tick when, SmallFunc fn, std::string desc)
+EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 {
     // One-shots are recycled: a fired lambda is re-armed instead of
     // paying a fresh make_unique + std::function allocation. Stale
@@ -113,10 +122,9 @@ EventQueue::schedule(Tick when, SmallFunc fn, std::string desc)
     if (!freeList.empty()) {
         ev = freeList.back();
         freeList.pop_back();
-        ev->reset(std::move(fn), std::move(desc));
+        ev->reset(std::move(fn), desc);
     } else {
-        owned.push_back(std::make_unique<LambdaEvent>(
-            std::move(fn), std::move(desc)));
+        owned.push_back(std::make_unique<LambdaEvent>(std::move(fn), desc));
         ev = owned.back().get();
     }
     ev->_owned = true;
@@ -155,9 +163,7 @@ EventQueue::stepOne()
         if (event->_owned && !event->_scheduled) {
             // Queue-owned one-shot that did not re-arm itself: park it
             // on the free-list and drop its captures now.
-            auto *lam = static_cast<LambdaEvent *>(event);
-            lam->release();
-            freeList.push_back(lam);
+            park(event);
         }
         return true;
     }

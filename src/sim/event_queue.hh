@@ -11,10 +11,11 @@
  *  - LambdaEvent / EventQueue::schedule(tick, fn): wrap a callable.
  *
  * An event object is owned by its creator and must outlive its scheduled
- * occurrence; the queue never deletes events. LambdaEvents created via
- * the schedule(tick, fn) convenience are owned by the queue and are
- * recycled through a free-list once they fire: a one-shot allocates at
- * most once per *concurrently pending* lambda, not once per schedule.
+ * occurrence (or a clear()); the queue never deletes events. LambdaEvents
+ * created via the schedule(tick, fn) convenience are owned by the queue
+ * and are recycled through a free-list once they fire: a one-shot
+ * allocates at most once per *concurrently pending* lambda, not once per
+ * schedule. Descriptions are string literals, read only by asserts.
  *
  * Reentrancy contract: an EventQueue is confined to one thread at a
  * time, but any number of queues may be live concurrently on
@@ -33,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "sim/small_func.hh"
@@ -54,8 +54,8 @@ class Event
     /** Callback invoked when the event's tick is reached. */
     virtual void process() = 0;
 
-    /** Human-readable description, used in traces. */
-    virtual std::string description() const { return "generic event"; }
+    /** Human-readable description, read only by assert messages. */
+    virtual const char *description() const { return "generic event"; }
 
     /** True while the event sits in some queue. */
     bool scheduled() const { return _scheduled; }
@@ -67,7 +67,6 @@ class Event
     friend class EventQueue;
 
     bool _scheduled = false;
-    bool _squashed = false;
     bool _owned = false;   //!< queue-owned one-shot, recyclable
     Tick _when = 0;
     std::uint64_t _sequence = 0;
@@ -77,49 +76,28 @@ class Event
 class LambdaEvent : public Event
 {
   public:
-    /**
-     * Retained description capacity cap: a recycled one-shot keeps
-     * its desc string's buffer for reuse, but not past this size, so
-     * a single verbose scheduler cannot pin large buffers in the
-     * free-list forever. The cap is above libstdc++'s SSO threshold;
-     * the hot-path device descriptions all fit inline.
-     */
-    static constexpr std::size_t descCapacityCap = 32;
-
-    explicit LambdaEvent(SmallFunc fn, std::string desc = "")
-        : callback(std::move(fn)), desc(std::move(desc))
+    explicit LambdaEvent(SmallFunc fn, const char *desc = "lambda event")
+        : callback(std::move(fn)), desc(desc)
     {}
 
     void process() override { callback(); }
 
     /** Re-arm a recycled one-shot with a new callable. */
     void
-    reset(SmallFunc fn, std::string d)
+    reset(SmallFunc fn, const char *d)
     {
         callback = std::move(fn);
-        desc = std::move(d);
+        desc = d;
     }
 
     /** Drop the callable so captured resources release promptly. */
-    void
-    release()
-    {
-        callback = nullptr;
-        if (desc.capacity() > descCapacityCap)
-            std::string().swap(desc);
-        else
-            desc.clear();
-    }
+    void release() { callback = nullptr; }
 
-    std::string
-    description() const override
-    {
-        return desc.empty() ? "lambda event" : desc;
-    }
+    const char *description() const override { return desc; }
 
   private:
     SmallFunc callback;
-    std::string desc;
+    const char *desc;
 };
 
 /**
@@ -156,9 +134,18 @@ class EventQueue
      * Convenience: schedule a one-shot callable. The queue owns the
      * temporary event and recycles it after execution. The returned
      * handle stays valid until the event fires or is descheduled —
-     * use it only to deschedule() the one-shot early.
+     * use it only to deschedule() the one-shot early. @p desc is a
+     * string literal.
      */
-    Event *schedule(Tick when, SmallFunc fn, std::string desc = "");
+    Event *schedule(Tick when, SmallFunc fn,
+                    const char *desc = "lambda event");
+
+    /**
+     * Drop every pending event unrun: owners may then destroy theirs
+     * (~GpuSystem does, before the devices die), and one-shots release
+     * their captures to the free-list. Time does not move.
+     */
+    void clear();
 
     /** True when no events remain. */
     bool empty() const { return heap.empty(); }
@@ -193,6 +180,9 @@ class EventQueue
      * free-list (reschedule() re-arms the same object immediately).
      */
     void descheduleImpl(Event *event, bool recycleOwned);
+
+    /** Drop a queue-owned one-shot's captures; free-list it. */
+    void park(Event *event);
 
     struct HeapEntry
     {

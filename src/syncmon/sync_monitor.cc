@@ -361,7 +361,7 @@ SyncMonController::notifyResume(int wg_id)
         eventq().schedule(clockEdge(resumeDelayCycles), [this, wg_id] {
             if (scheduler)
                 scheduler->resumeWg(wg_id);
-        }, name() + ".delayedResume");
+        }, "syncmon.delayedResume");
         return;
     }
     scheduler->resumeWg(wg_id);
@@ -504,7 +504,7 @@ SyncMonController::noteConditionRemoved(mem::Addr addr)
             blooms.resetFor(line);
             ++bloomResets;
         }
-    }, name() + ".monitorIdle");
+    }, "syncmon.monitorIdle");
 }
 
 void

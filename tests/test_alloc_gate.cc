@@ -5,11 +5,13 @@
  * leak into the main test suite).
  *
  * The pooled-request overhaul promises that the warmed-up
- * CU-facing round trip — L1 hit, L1-bypassed atomic at the L2, and
- * the event-queue one-shots that carry them — touches the heap not at
+ * CU-facing round trip — L1 hit, L1-bypassed atomic at the L2, an
+ * acquire atomic whose response flash-invalidates the L1, and the
+ * event-queue one-shots that carry them — touches the heap not at
  * all: requests come from the MemRequestPool, completions go through
  * typed responders, events recycle through the queue's free-list,
- * device queues are RingQueues, and event descriptions stay in SSO.
+ * device queues are RingQueues, and an event description is a string
+ * literal, so re-arming a one-shot copies a pointer, not a string.
  * These tests pin that property exactly, so any future change that
  * sneaks a per-request allocation back in fails here instead of
  * showing up as a slow bench three PRs later.
@@ -142,13 +144,14 @@ struct MemPath : mem::MemResponder
     }
 
     void
-    issueAtomic(mem::Addr addr)
+    issueAtomic(mem::Addr addr, bool acquire = false)
     {
         mem::MemRequestPtr req = pool.allocate();
         req->op = mem::MemOp::Atomic;
         req->aop = mem::AtomicOpcode::Add;
         req->addr = addr;
         req->operand = 1;
+        req->acquire = acquire;
         req->setResponder(this);
         l1.access(req);
     }
@@ -161,6 +164,20 @@ struct MemPath : mem::MemResponder
             issueRead(0x4000);
         for (int i = 0; i < 64; ++i)
             issueAtomic(0x2000 + (i % 64) * 64);
+        eq.simulate();
+    }
+
+    /**
+     * Acquire atomics only: each response runs the L1's AcquireHook,
+     * which flash-invalidates the tags. No reads here — a flash turns
+     * the next read into an L1 miss, and a miss creates an MSHR entry,
+     * which allocates by design.
+     */
+    void
+    acquireRound()
+    {
+        for (int i = 0; i < 64; ++i)
+            issueAtomic(0x2000 + i * 64, /*acquire=*/true);
         eq.simulate();
     }
 };
@@ -183,6 +200,28 @@ TEST(AllocGate, WarmMemoryRoundTripAllocatesNothing)
     EXPECT_EQ(after - before, 0u)
         << "the warmed L1-hit + L2-atomic round trip touched the heap";
     EXPECT_EQ(path.completed, warm_completed + 10 * 128);
+}
+
+TEST(AllocGate, WarmAcquireFlashesAllocateNothing)
+{
+    MemPath path;
+    path.round();  // fill lines, so the first flashes drop something
+    path.acquireRound();
+    path.acquireRound();
+    const std::uint64_t warm_completed = path.completed;
+    const double warm_flashes =
+        path.l1.stats().scalar("invalidations").value();
+
+    const std::uint64_t before = allocCount();
+    for (int i = 0; i < 10; ++i)
+        path.acquireRound();
+    const std::uint64_t after = allocCount();
+
+    EXPECT_EQ(after - before, 0u)
+        << "the warmed acquire atomic + L1 flash touched the heap";
+    EXPECT_EQ(path.completed, warm_completed + 10 * 64);
+    EXPECT_EQ(path.l1.stats().scalar("invalidations").value(),
+              warm_flashes + 10 * 64);
 }
 
 TEST(AllocGate, RequestLifecycleAllocatesNothingAfterWarmup)

@@ -349,6 +349,86 @@ TEST(EventQueueFreeList, SquashedSlotsServeNewWorkWithinTheSameTick)
     EXPECT_EQ(eq.ownedPoolSize(), 1u);
 }
 
+TEST(EventQueue, MemberEventsAndOneShotsShareScheduleOrder)
+{
+    // A device's member event (the CU tick) and queue-owned one-shots
+    // due at one tick run in the order they were scheduled, whichever
+    // kind each is and whether or not the one-shot was recycled.
+    EventQueue eq;
+    std::vector<int> log;
+    Recorder member(log, 2);
+    eq.schedule(1, [&log] { log.push_back(0); });
+    eq.simulate();  // parks one recycled one-shot on the free-list
+
+    eq.schedule(10, [&log] { log.push_back(1); });
+    eq.schedule(&member, 10);
+    eq.schedule(10, [&log] { log.push_back(3); });
+    eq.simulate();
+    EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
+
+    // Re-armed at the same tick after a one-shot: order follows the
+    // re-arm, not the member's first schedule.
+    log.clear();
+    eq.schedule(&member, 20);
+    eq.schedule(20, [&log] { log.push_back(1); });
+    eq.reschedule(&member, 20);
+    eq.schedule(20, [&log] { log.push_back(3); });
+    eq.simulate();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueClear, DropsPendingEventsAndReleasesCaptures)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    auto token = std::make_shared<int>(1);
+    eq.schedule(5, [] {});
+    eq.simulate();
+    auto member = std::make_unique<Recorder>(log, 1);
+    eq.schedule(member.get(), 50);
+    eq.schedule(40, [t = token] { FAIL() << "cleared one-shot ran"; });
+    eq.schedule(60, [t = token] { FAIL() << "cleared one-shot ran"; });
+    // A squashed one-shot leaves a stale heap entry behind, and its
+    // recycled object is pending again under a newer sequence.
+    Event *squashed = eq.schedule(70, [t = token] {});
+    eq.deschedule(squashed);
+    eq.schedule(80, [t = token] { FAIL() << "cleared one-shot ran"; });
+    ASSERT_EQ(eq.size(), 4u);
+    ASSERT_EQ(token.use_count(), 4);
+
+    eq.clear();
+    EXPECT_EQ(eq.size(), 0u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.curTick(), 5u);
+    EXPECT_FALSE(member->scheduled());
+    EXPECT_EQ(token.use_count(), 1) << "cleared captures still held";
+    // Every one-shot is parked exactly once, the re-used one included.
+    EXPECT_EQ(eq.freeListSize(), eq.ownedPoolSize());
+    // Destroying the member's owner must not trip Event::~Event.
+    member.reset();
+    EXPECT_TRUE(log.empty());
+}
+
+TEST(EventQueueClear, QueueStaysUsable)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    Recorder member(log, 2);
+    eq.schedule(&member, 100);
+    eq.schedule(100, [&log] { log.push_back(-1); });
+    eq.clear();
+
+    eq.schedule(&member, 7);
+    eq.schedule(7, [&log] { log.push_back(3); });
+    eq.schedule(3, [&log] { log.push_back(1); });
+    EXPECT_EQ(eq.size(), 3u);
+    EXPECT_EQ(eq.simulate(), 7u);
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(eq.empty());
+    eq.clear();  // clearing an empty queue is a no-op
+    EXPECT_EQ(eq.size(), 0u);
+}
+
 // Regression: constructing a second EventQueue used to overwrite the
 // trace tick hook for the whole process, so an older queue's traces
 // reported the younger queue's ticks. The hook is now a TraceTickScope

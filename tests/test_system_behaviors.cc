@@ -2,11 +2,14 @@
  * @file
  * Coverage for system behaviours not pinned elsewhere: L2 dirty
  * writebacks, CU round-robin fairness, barrier interaction with
- * finished wavefronts, Monitor-Log memory traffic, and disassembly
- * coverage for every opcode.
+ * finished wavefronts, machine teardown with CU ticks still queued,
+ * Monitor-Log memory traffic, and disassembly coverage for every
+ * opcode.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "isa/instruction.hh"
 #include "mem/dram.hh"
@@ -109,6 +112,39 @@ TEST(CuBehaviour, BarrierReleasesWhenOtherWavefrontsFinish)
     auto result = system.run(test::makeTestKernel(b, 1, 128));
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(system.memory().read(out, 8), 1);
+}
+
+TEST(CuBehaviour, TeardownWithTicksStillQueued)
+{
+    // A run cut off by its budget while work-groups spin leaves each
+    // busy CU's tick event queued. ~GpuSystem must drop it before the
+    // CUs die: Event::~Event asserts on a scheduled event, and the
+    // sanitized build checks this path for use-after-free and leaks.
+    core::RunConfig cfg = test::testRunConfig(core::Policy::Baseline);
+    cfg.deadlockWindowCycles = 10'000;
+    cfg.maxCycles = 30'000;
+    auto system = std::make_unique<core::GpuSystem>(cfg);
+    mem::Addr counter = system->allocate(64);
+
+    KernelBuilder b;
+    Label spin = b.label();
+    b.bnz(isa::rWfId, spin);
+    // wf0 keeps memory changing, so the run progresses to its budget.
+    b.movi(16, static_cast<std::int64_t>(counter));
+    b.movi(17, 1);
+    Label again = b.here();
+    b.atom(18, mem::AtomicOpcode::Add, 16, 0, 17);
+    b.br(again);
+    // wf1 never leaves the ALU, so its CU always has a tick queued.
+    b.bind(spin);
+    b.addi(19, 19, 1);
+    b.br(spin);
+
+    core::RunResult result =
+        system->run(test::makeTestKernel(b, 8, 128));
+    EXPECT_EQ(result.verdict, core::Verdict::Exhausted);
+    EXPECT_GT(system->eventq().size(), 0u);
+    system.reset();
 }
 
 TEST(MonitorLogBehaviour, AppendsGenerateL2Traffic)
