@@ -70,26 +70,24 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
     cp = std::make_unique<cp::CommandProcessor>("cp", eq, cfg.cp, *dma,
                                                 store, l2cache.get(),
                                                 &pool);
-    dispatch = std::make_unique<gpu::Dispatcher>("dispatcher", eq,
-                                                 cfg.gpu);
+    dispatch = std::make_unique<gpu::Dispatcher>(
+        "dispatcher", eq, cfg.gpu, *cp, cp->admissionScheduler());
 
     for (unsigned i = 0; i < cfg.gpu.numCus; ++i) {
         std::string cu_name = "cu" + std::to_string(i);
         l1s.push_back(std::make_unique<mem::L1Cache>(
             cu_name + ".l1", eq, cfg.gpu.l1, *l2cache, pool));
         cus.push_back(std::make_unique<gpu::ComputeUnit>(
-            cu_name, eq, i, cfg.gpu, *l1s.back(), store, pool));
+            cu_name, eq, i, cfg.gpu, *l1s.back(), store, pool,
+            *dispatch));
     }
 
     std::vector<gpu::ComputeUnit *> cu_ptrs;
     for (auto &cu : cus)
         cu_ptrs.push_back(cu.get());
     dispatch->setCus(std::move(cu_ptrs));
-    dispatch->setContextSwitcher(cp.get());
     cp->setScheduler(dispatch.get());
-    dispatch->setKernelListener(this);
     cp->admissionScheduler().setDispatcher(dispatch.get());
-    dispatch->setAdmissionPolicy(&cp->admissionScheduler());
 
     Policy policy = cfg.policy.policy;
     dispatch->setSwapInCapable(!deadlockProne(policy));
@@ -180,21 +178,6 @@ GpuSystem::lintKernel(const isa::Kernel &kernel) const
     }
 }
 
-void
-GpuSystem::kernelEnqueued(const gpu::DispatchContext &)
-{
-    ++arrivedContexts;
-}
-
-void
-GpuSystem::kernelCompleted(const gpu::DispatchContext &)
-{
-    if (dispatch->allContextsComplete()) {
-        kernelDone = true;
-        completionTick = eq.curTick();
-    }
-}
-
 int
 GpuSystem::enqueueKernel(const isa::Kernel &kernel,
                          const gpu::LaunchOptions &opts)
@@ -276,24 +259,23 @@ RunResult
 GpuSystem::finishRun(const Validator &validator)
 {
     RunResult result;
-    kernelDone = dispatch->allContextsComplete();
     scheduleFaults();
 
     const sim::Tick window =
         cfg.deadlockWindowCycles * cfg.gpu.clockPeriod;
     const sim::Tick budget = cfg.maxCycles * cfg.gpu.clockPeriod;
 
-    // arrivedContexts keeps serving runs with sparse arrivals from
-    // tripping the deadlock detector: a kernel arriving inside a
-    // window is progress. Constant (one) in single-kernel runs, so
-    // legacy deltas are unchanged.
+    // Arrivals keep serving runs with sparse arrivals from tripping
+    // the deadlock detector: a kernel arriving inside a window is
+    // progress. Constant (one) in single-kernel runs, so legacy
+    // deltas are unchanged.
     auto progress_sig = [this] {
         return store.mutations() + dispatch->numCompleted() +
                static_cast<std::uint64_t>(
                    dispatch->stats().scalar("swapOuts").value()) +
                static_cast<std::uint64_t>(
                    dispatch->stats().scalar("swapIns").value()) +
-               arrivedContexts;
+               dispatch->numArrivedContexts();
     };
 
     LivenessOracle oracle(cfg.liveness, cfg.gpu.clockPeriod,
@@ -301,9 +283,9 @@ GpuSystem::finishRun(const Validator &validator)
 
     std::uint64_t last_sig = progress_sig();
     sim::Tick next_check = window;
-    while (!kernelDone) {
+    while (!dispatch->allContextsComplete()) {
         eq.simulate(next_check);
-        if (kernelDone)
+        if (dispatch->allContextsComplete())
             break;
         // Sample at the window boundary, not curTick(): the queue's
         // clock only advances when events execute, so a fully asleep
@@ -329,18 +311,16 @@ GpuSystem::finishRun(const Validator &validator)
         }
     }
 
-    if (kernelDone)
+    if (dispatch->allContextsComplete()) {
         result.verdict = Verdict::Complete;
-    else if (!result.deadlocked)
-        result.verdict = Verdict::Exhausted;
-    result.lostWakeups = oracle.lostWakeups();
-
-    if (kernelDone) {
         result.completed = true;
-        result.runTicks = completionTick;
+        result.runTicks = dispatch->lastCompletionTick();
     } else {
+        if (!result.deadlocked)
+            result.verdict = Verdict::Exhausted;
         result.runTicks = eq.curTick();
     }
+    result.lostWakeups = oracle.lostWakeups();
     result.gpuCycles = result.runTicks / cfg.gpu.clockPeriod;
 
     // Close the stall-reason books (completed WGs already closed at

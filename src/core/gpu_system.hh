@@ -156,7 +156,7 @@ struct ServeResult
 };
 
 /** The composed simulated APU. */
-class GpuSystem : private gpu::KernelListener
+class GpuSystem
 {
   public:
     /**
@@ -218,7 +218,6 @@ class GpuSystem : private gpu::KernelListener
     cp::CommandProcessor &commandProcessor() { return *cp; }
     mem::L2Cache &l2() { return *l2cache; }
     sim::EventQueue &eventq() { return eq; }
-    syncmon::SyncMonController *syncMon() { return monitor.get(); }
     const RunConfig &config() const { return cfg; }
 
     /** The run's trace sink, or nullptr when tracing is disabled. */
@@ -256,17 +255,7 @@ class GpuSystem : private gpu::KernelListener
     std::unique_ptr<sim::TraceSink> sink;
 
     mem::Addr heapNext = 0x1000'0000ULL;
-    bool kernelDone = false;
-    sim::Tick completionTick = 0;
     std::uint64_t faultsApplied = 0;
-    /** Contexts whose arrival fired (progress-signature component). */
-    std::uint64_t arrivedContexts = 0;
-
-    /// @name gpu::KernelListener (the run loop's completion hook)
-    /// @{
-    void kernelEnqueued(const gpu::DispatchContext &ctx) override;
-    void kernelCompleted(const gpu::DispatchContext &ctx) override;
-    /// @}
 
     /** Pre-dispatch lint gate (DispatchOptions). */
     void lintKernel(const isa::Kernel &kernel) const;

@@ -21,8 +21,7 @@ verdictName(Verdict verdict)
 LivenessOracle::LivenessOracle(const LivenessConfig &cfg,
                                sim::Tick clock_period,
                                sim::Cycles deadlock_window_cycles)
-    : config(cfg),
-      period(clock_period),
+    : period(clock_period),
       boundCycles(cfg.lostWakeupBoundCycles > 0
                       ? cfg.lostWakeupBoundCycles
                       : deadlock_window_cycles)
@@ -34,9 +33,6 @@ LivenessOracle::sample(sim::Tick now,
                        const std::vector<WaiterProbe> &waiters,
                        std::uint64_t retry_activity)
 {
-    if (!config.enabled)
-        return;
-
     lastSampleTick = now;
     for (const WaiterProbe &probe : waiters) {
         if (!probe.conditionHolds) {
@@ -75,8 +71,6 @@ LivenessOracle::sample(sim::Tick now,
 Verdict
 LivenessOracle::finalizeStall(bool queue_empty)
 {
-    if (!config.enabled)
-        return Verdict::Deadlock;
     if (queue_empty) {
         // The queue drained with satisfied conditions outstanding:
         // nothing can ever deliver those wakeups, so the bound does

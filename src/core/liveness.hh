@@ -51,7 +51,6 @@ const char *verdictName(Verdict verdict);
 /** Oracle configuration. */
 struct LivenessConfig
 {
-    bool enabled = true;
     /**
      * How long a waiter's condition may hold in memory before the
      * waiter counts as lost, in GPU cycles. 0 = auto: one deadlock
@@ -134,7 +133,6 @@ class LivenessOracle
         bool flagged = false;
     };
 
-    LivenessConfig config;
     sim::Tick period;
     sim::Cycles boundCycles;
 

@@ -73,9 +73,6 @@ void
 CommandProcessor::armRescue(int wg_id, sim::Cycles timeout_cycles)
 {
     rescueDeadlines[wg_id] = clockEdge(timeout_cycles);
-    maxRescues = std::max(maxRescues,
-                          static_cast<unsigned>(
-                              rescueDeadlines.size()));
     ensureHousekeeping();
 }
 

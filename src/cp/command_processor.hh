@@ -151,7 +151,6 @@ class CommandProcessor : public sim::Clocked,
     /// @{
     const MonitorLog &monitorLog() const { return log; }
     unsigned maxSpilledConditions() const { return maxSpilled; }
-    unsigned maxTrackedRescues() const { return maxRescues; }
     std::uint64_t maxContextStoreBytes() const
     {
         return maxContextBytes;
@@ -200,7 +199,6 @@ class CommandProcessor : public sim::Clocked,
     std::uint64_t currentContextBytes = 0;
     std::uint64_t maxContextBytes = 0;
     unsigned maxSpilled = 0;
-    unsigned maxRescues = 0;
     std::uint64_t rescuesFiredCount = 0;
 
     sim::StatGroup statGroup;

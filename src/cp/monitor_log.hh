@@ -66,7 +66,6 @@ class MonitorLog
     bool full() const { return count == capacity; }
     unsigned size() const { return count; }
     unsigned maxSize() const { return maxCount; }
-    unsigned capacityEntries() const { return capacity; }
     unsigned freeEntries() const { return capacity - count; }
     std::uint64_t totalAppends() const { return appends; }
     std::uint64_t totalRejected() const { return rejected; }

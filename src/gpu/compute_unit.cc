@@ -10,13 +10,15 @@ ComputeUnit::ComputeUnit(std::string name, sim::EventQueue &eq,
                          unsigned cu_id, const GpuConfig &cfg,
                          mem::MemDevice &l1_dev,
                          mem::BackingStore &backing,
-                         mem::MemRequestPool &request_pool)
+                         mem::MemRequestPool &request_pool,
+                         CuListener &cu_listener)
     : Clocked(std::move(name), eq, cfg.clockPeriod),
       id(cu_id),
       config(cfg),
       l1(l1_dev),
       store(backing),
       pool(request_pool),
+      listener(cu_listener),
       simdWfs(cfg.simdsPerCu),
       rrIndex(cfg.simdsPerCu, 0),
       statGroup(this->name()),
@@ -445,8 +447,7 @@ ComputeUnit::executeInstr(Wavefront &wf)
             wg->completeTick = curTick();
             // Defer so the listener can safely mutate CU state.
             eventq().schedule(curTick(), [this, wg] {
-                if (listener)
-                    listener->wgCompleted(wg);
+                listener.wgCompleted(wg);
             }, "cu.wgDone");
         } else {
             wg->refreshRunBucket(curTick());
@@ -611,8 +612,7 @@ ComputeUnit::applyWaitDecision(Wavefront &wf, mem::Addr addr,
         sim::Cycles rescue = decision.timeoutCycles;
         // Defer: the listener re-enters CU residency management.
         eventq().schedule(curTick(), [this, wg, rescue] {
-            if (listener)
-                listener->wgWantsSwitch(wg, rescue);
+            listener.wgWantsSwitch(wg, rescue);
         }, "cu.switchReq");
         return;
       }
@@ -676,8 +676,7 @@ ComputeUnit::scheduleRescue(Wavefront &wf, mem::Addr addr,
             WorkGroup *wg = wfp->wg;
             sim::Cycles rescue = next.timeoutCycles;
             eventq().schedule(curTick(), [this, wg, rescue] {
-                if (listener)
-                    listener->wgWantsSwitch(wg, rescue);
+                listener.wgWantsSwitch(wg, rescue);
             }, "cu.switchReq");
             return;
           }

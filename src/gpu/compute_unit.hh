@@ -38,10 +38,12 @@ namespace ifp::gpu {
 class ComputeUnit : public sim::Clocked, public mem::MemResponder
 {
   public:
+    /** @p listener (the dispatcher) hears completions and yields. */
     ComputeUnit(std::string name, sim::EventQueue &eq, unsigned cu_id,
                 const GpuConfig &cfg, mem::MemDevice &l1,
                 mem::BackingStore &store,
-                mem::MemRequestPool &request_pool);
+                mem::MemRequestPool &request_pool,
+                CuListener &listener);
 
     /**
      * Memory response for an issued request; the tag carries the
@@ -52,7 +54,6 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
 
     /// @name Wiring
     /// @{
-    void setListener(CuListener *l) { listener = l; }
     void setSyncObserver(mem::SyncObserver *obs) { observer = obs; }
     void setTraceSink(sim::TraceSink *sink) { trace = sink; }
     /** Schedule-choice oracle for SIMD wavefront arbitration. */
@@ -138,7 +139,7 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     mem::MemDevice &l1;
     mem::BackingStore &store;
     mem::MemRequestPool &pool;
-    CuListener *listener = nullptr;
+    CuListener &listener;
     mem::SyncObserver *observer = nullptr;
     sim::TraceSink *trace = nullptr;
     sim::SchedOracle *oracle = nullptr;

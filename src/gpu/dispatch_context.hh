@@ -28,7 +28,6 @@
 #include <deque>
 #include <string>
 
-#include "gpu/sched_iface.hh"
 #include "isa/kernel.hh"
 #include "sim/types.hh"
 
@@ -46,8 +45,6 @@ struct LaunchOptions
      * Only recorded — admission does not deadline-schedule.
      */
     sim::Cycles deadlineCycles = 0;
-    /** Per-context lifecycle hooks (may be null). */
-    KernelListener *listener = nullptr;
 };
 
 /** Lifecycle of a dispatch context. */

@@ -17,9 +17,12 @@ contextStateName(ContextState state)
 }
 
 Dispatcher::Dispatcher(std::string name, sim::EventQueue &eq,
-                       const GpuConfig &cfg)
+                       const GpuConfig &cfg, ContextSwitcher &cs,
+                       AdmissionPolicy &adm)
     : Clocked(std::move(name), eq, cfg.clockPeriod),
       config(cfg),
+      switcher(cs),
+      admission(adm),
       statGroup(this->name()),
       dispatches(statGroup.addScalar("dispatches",
                                      "fresh WG dispatches")),
@@ -49,8 +52,6 @@ Dispatcher::setCus(std::vector<ComputeUnit *> cu_list)
 {
     cus = std::move(cu_list);
     cuOwner.assign(cus.size(), -1);
-    for (ComputeUnit *cu : cus)
-        cu->setListener(this);
 }
 
 int
@@ -88,27 +89,11 @@ Dispatcher::contextArrived(int ctx_id)
                "ctx%d arrived in state %s", ctx_id,
                contextStateName(ctx.state));
     ctx.state = ContextState::Queued;
+    ++arrivedContexts;
     sim::emitTrace(trace, curTick(),
                    sim::TraceEventKind::KernelEnqueued, -1, -1,
                    sim::StallReason::Running, 0, ctx_id);
-    if (ctx.opts.listener)
-        ctx.opts.listener->kernelEnqueued(ctx);
-    if (listener)
-        listener->kernelEnqueued(ctx);
-
-    if (admission) {
-        admission->contextEnqueued(ctx_id);
-        return;
-    }
-    // Standalone fallback (no admission scheduler installed): admit
-    // immediately and take every unowned CU.
-    admitContext(ctx_id);
-    std::vector<int> owner = cuOwner;
-    for (int &o : owner) {
-        if (o < 0)
-            o = ctx_id;
-    }
-    setCuAssignment(owner);
+    admission.contextEnqueued(ctx_id);
 }
 
 void
@@ -125,20 +110,6 @@ Dispatcher::admitContext(int ctx_id)
     sim::emitTrace(trace, curTick(),
                    sim::TraceEventKind::KernelAdmitted, -1, -1,
                    sim::StallReason::Running, 0, ctx_id);
-    if (ctx.opts.listener)
-        ctx.opts.listener->kernelAdmitted(ctx);
-    if (listener)
-        listener->kernelAdmitted(ctx);
-}
-
-void
-Dispatcher::launch(const isa::Kernel &k)
-{
-    ifp_assert(contexts.empty(),
-               "launch() supports one kernel; use createContext()/"
-               "contextArrived() for multi-kernel runs");
-    int ctx_id = createContext(k, LaunchOptions{}, curTick());
-    contextArrived(ctx_id);
 }
 
 WorkGroup *
@@ -379,7 +350,6 @@ Dispatcher::startSwapIn(WorkGroup *w, ComputeUnit *cu)
     ifp_assert(w->state == WgState::ReadySwapIn,
                "swap-in of wg%d in state %s", w->id,
                wgStateName(w->state));
-    ifp_assert(switcher, "no context switcher installed");
     ++swapIns;
     ++ctxOf(w).swapIns;
 
@@ -393,18 +363,9 @@ Dispatcher::startSwapIn(WorkGroup *w, ComputeUnit *cu)
     w->setState(WgState::SwitchingIn, curTick());
     sim::emitTrace(trace, curTick(), sim::TraceEventKind::WgSwapIn,
                    w->id, static_cast<int>(cu->cuId()));
-    switcher->restoreContext(w, [this, w, cu] {
+    switcher.restoreContext(w, [this, w, cu] {
         ++w->contextRestores;
         cu->activateWg(w);
-        DispatchContext &ctx = ctxOf(w);
-        if (ctx.opts.listener) {
-            ctx.opts.listener->kernelResumed(
-                ctx, w->id, static_cast<int>(cu->cuId()));
-        }
-        if (listener) {
-            listener->kernelResumed(ctx, w->id,
-                                    static_cast<int>(cu->cuId()));
-        }
         // The CU may have churned offline while the restore DMA was
         // in flight; evict the WG right back out.
         if (cu->offline())
@@ -417,10 +378,8 @@ Dispatcher::wgWantsSwitch(WorkGroup *w, sim::Cycles rescue_cycles)
 {
     if (w->state != WgState::Running)
         return;  // already switching, or completed meanwhile
-    if (!switcher)
-        return;  // no CP firmware: WGs can only stall
     if (rescue_cycles > 0)
-        switcher->armRescue(w->id, rescue_cycles);
+        switcher.armRescue(w->id, rescue_cycles);
     beginSwapOut(w);
 }
 
@@ -432,10 +391,15 @@ Dispatcher::beginSwapOut(WorkGroup *w)
     ++ctxOf(w).swapOuts;
     sim::emitTrace(trace, curTick(), sim::TraceEventKind::WgSwitchOut,
                    w->id, w->cuId);
+    drainAndSave(w);
+}
+
+void
+Dispatcher::drainAndSave(WorkGroup *w)
+{
     w->setState(WgState::SwitchingOut, curTick());
-    ComputeUnit *cu = cus[w->cuId];
-    cu->beginDrain(w, [this, w] {
-        switcher->saveContext(w, [this, w] { finishSwapOut(w); });
+    cus[w->cuId]->beginDrain(w, [this, w] {
+        switcher.saveContext(w, [this, w] { finishSwapOut(w); });
     });
 }
 
@@ -465,8 +429,8 @@ Dispatcher::finishSwapOut(WorkGroup *w)
         // Make sure a CP rescue exists: a forcibly pre-empted waiting
         // WG never passed through a waiting-policy Switch decision,
         // and a missed monitor notification must not strand it.
-        if (switcher && defaultRescueCycles > 0)
-            switcher->armRescue(w->id, defaultRescueCycles);
+        if (defaultRescueCycles > 0)
+            switcher.armRescue(w->id, defaultRescueCycles);
     }
     tryDispatch();
 }
@@ -478,8 +442,7 @@ Dispatcher::resumeWg(int wg_id)
     switch (w->state) {
       case WgState::Running: {
         ++resumesStalled;
-        if (switcher)
-            switcher->cancelRescue(wg_id);
+        switcher.cancelRescue(wg_id);
         sim::emitTrace(trace, curTick(),
                        sim::TraceEventKind::WgResumed, wg_id, w->cuId);
         cus[w->cuId]->resumeWaitingWfs(w);
@@ -490,8 +453,7 @@ Dispatcher::resumeWg(int wg_id)
         return;
       case WgState::SwappedOut: {
         ++resumesSwapped;
-        if (switcher)
-            switcher->cancelRescue(wg_id);
+        switcher.cancelRescue(wg_id);
         w->setState(WgState::ReadySwapIn, curTick());
         sim::emitTrace(trace, curTick(),
                        sim::TraceEventKind::WgResumed, wg_id, -1);
@@ -514,7 +476,7 @@ Dispatcher::contextCompleted(DispatchContext &ctx)
 {
     ctx.state = ContextState::Complete;
     ctx.completeTick = curTick();
-    ++completedContexts;
+    completions.push_back(ctx.id);
     for (std::size_t i = 0; i < residentOrder.size(); ++i) {
         if (residentOrder[i] == ctx.id) {
             residentOrder.erase(residentOrder.begin() +
@@ -525,29 +487,17 @@ Dispatcher::contextCompleted(DispatchContext &ctx)
     sim::emitTrace(trace, curTick(),
                    sim::TraceEventKind::KernelCompleted, -1, -1,
                    sim::StallReason::Running, 0, ctx.id);
-    if (ctx.opts.listener)
-        ctx.opts.listener->kernelCompleted(ctx);
-    if (listener)
-        listener->kernelCompleted(ctx);
-
-    if (admission) {
-        // Reclaims the context's CUs and admits queued work.
-        admission->contextCompleted(ctx.id);
-    } else {
-        std::vector<int> owner = cuOwner;
-        for (int &o : owner) {
-            if (o == ctx.id)
-                o = -1;
-        }
-        setCuAssignment(owner);
-    }
+    // Reclaims the context's CUs and admits queued work.
+    admission.contextCompleted(ctx.id);
 }
 
 void
 Dispatcher::wgCompleted(WorkGroup *w)
 {
-    ifp_assert(w->state == WgState::Running ||
-               w->state == WgState::SwitchingOut,
+    // evict() never pre-empts a halted WG, so a completion never
+    // overlaps a drain: the WG is still Running and this frees its
+    // CU slot.
+    ifp_assert(w->state == WgState::Running,
                "completion of wg%d in state %s", w->id,
                wgStateName(w->state));
     ComputeUnit *cu = cus[w->cuId];
@@ -555,8 +505,7 @@ Dispatcher::wgCompleted(WorkGroup *w)
                    w->id, w->cuId);
     cu->removeWg(w);
     w->setState(WgState::Done, curTick());
-    if (switcher)
-        switcher->cancelRescue(w->id);
+    switcher.cancelRescue(w->id);
     ++completed;
     DispatchContext &ctx = ctxOf(w);
     ++ctx.completed;
@@ -578,8 +527,7 @@ Dispatcher::onlineCu(unsigned cu_id)
     sim::emitTrace(trace, curTick(), sim::TraceEventKind::CuOnline, -1,
                    static_cast<int>(cu_id));
     tryDispatch();
-    if (admission)
-        admission->cuAvailabilityChanged();
+    admission.cuAvailabilityChanged();
 }
 
 void
@@ -590,10 +538,6 @@ Dispatcher::notifyPreempted(WorkGroup *w, int cu_id)
     sim::emitTrace(trace, curTick(),
                    sim::TraceEventKind::KernelPreempted, w->id, cu_id,
                    sim::StallReason::Running, 0, ctx.id);
-    if (ctx.opts.listener)
-        ctx.opts.listener->kernelPreempted(ctx, w->id, cu_id);
-    if (listener)
-        listener->kernelPreempted(ctx, w->id, cu_id);
 }
 
 void
@@ -603,15 +547,7 @@ Dispatcher::preemptRunning(WorkGroup *w)
     notifyPreempted(w, w->cuId);
     sim::emitTrace(trace, curTick(), sim::TraceEventKind::WgPreempted,
                    w->id, w->cuId);
-    w->setState(WgState::SwitchingOut, curTick());
-    ComputeUnit *host = cus[w->cuId];
-    host->beginDrain(w, [this, w] {
-        if (switcher) {
-            switcher->saveContext(w, [this, w] { finishSwapOut(w); });
-        } else {
-            finishSwapOut(w);
-        }
-    });
+    drainAndSave(w);
 }
 
 int
@@ -632,6 +568,15 @@ Dispatcher::requeueDispatching(WorkGroup *w, unsigned cu_id)
 }
 
 void
+Dispatcher::evict(WorkGroup *w, unsigned cu_id, std::vector<int> &requeued)
+{
+    if (w->state == WgState::Dispatching)
+        requeued.push_back(requeueDispatching(w, cu_id));
+    else if (w->state == WgState::Running && !w->complete())
+        preemptRunning(w);
+}
+
+void
 Dispatcher::offlineCu(unsigned cu_id)
 {
     ifp_assert(cu_id < cus.size(), "bad CU id %u", cu_id);
@@ -642,18 +587,11 @@ Dispatcher::offlineCu(unsigned cu_id)
     sim::emitTrace(trace, curTick(), sim::TraceEventKind::CuOffline,
                    -1, static_cast<int>(cu_id));
 
-    // Snapshot: beginSwapOut mutates the resident list asynchronously.
+    // Snapshot: evictions mutate the resident list.
     std::vector<WorkGroup *> victims = cu->residentWgs();
     std::vector<int> requeued;
-    for (WorkGroup *w : victims) {
-        if (w->state == WgState::Dispatching) {
-            requeued.push_back(requeueDispatching(w, cu_id));
-            continue;
-        }
-        if (w->state != WgState::Running)
-            continue;  // already switching out or restoring
-        preemptRunning(w);
-    }
+    for (WorkGroup *w : victims)
+        evict(w, cu_id, requeued);
     if (!requeued.empty()) {
         // Front of the queue, original order: they were dispatched
         // first, so they go back out first. All victims of one CU
@@ -662,8 +600,7 @@ Dispatcher::offlineCu(unsigned cu_id)
         queue.insert(queue.begin(), requeued.begin(), requeued.end());
         tryDispatch();
     }
-    if (admission)
-        admission->cuAvailabilityChanged();
+    admission.cuAvailabilityChanged();
 }
 
 void
@@ -693,16 +630,8 @@ Dispatcher::setCuAssignment(const std::vector<int> &owner)
         // same drain/save machinery the offline-CU scenario uses.
         std::vector<WorkGroup *> victims = cus[i]->residentWgs();
         for (WorkGroup *w : victims) {
-            if (w->ctxId == next)
-                continue;
-            if (w->state == WgState::Dispatching) {
-                requeued[w->ctxId].push_back(
-                    requeueDispatching(w, static_cast<unsigned>(i)));
-                continue;
-            }
-            if (w->state != WgState::Running)
-                continue;  // already switching out or restoring
-            preemptRunning(w);
+            if (w->ctxId != next)
+                evict(w, static_cast<unsigned>(i), requeued[w->ctxId]);
         }
         cuOwner[i] = next;
     }

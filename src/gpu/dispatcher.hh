@@ -18,7 +18,9 @@
  * waiting-policy controller asks a WG to yield (Switch decision) the
  * dispatcher orchestrates the drain / context-save / resource-free
  * sequence with the CU and the Command Processor; resumes go the
- * other way.
+ * other way. The dispatcher is the one owner of WG and context
+ * lifecycle: the run loop and serving reports read its lifecycle
+ * record, and everything else observes it through the TraceSink.
  *
  * `swapInCapable` distinguishes the paper's Baseline from everything
  * else: current GPUs can pre-empt WGs (kernel-level scheduling) but
@@ -49,13 +51,18 @@ class Dispatcher : public sim::Clocked,
                    public CuListener
 {
   public:
+    /**
+     * @p switcher saves and restores WG contexts and arms rescues;
+     * @p admission decides residency and CU ownership. Both are the
+     * CP's (cp/command_processor.hh) and must outlive the dispatcher.
+     */
     Dispatcher(std::string name, sim::EventQueue &eq,
-               const GpuConfig &cfg);
+               const GpuConfig &cfg, ContextSwitcher &switcher,
+               AdmissionPolicy &admission);
 
     /// @name Wiring
     /// @{
     void setCus(std::vector<ComputeUnit *> cu_list);
-    void setContextSwitcher(ContextSwitcher *cs) { switcher = cs; }
     void setSwapInCapable(bool capable) { swapInCapable = capable; }
     void setTraceSink(sim::TraceSink *sink) { trace = sink; }
 
@@ -76,12 +83,6 @@ class Dispatcher : public sim::Clocked,
     {
         defaultRescueCycles = cycles;
     }
-
-    /** Global lifecycle hooks (GpuSystem's run loop). */
-    void setKernelListener(KernelListener *l) { listener = l; }
-
-    /** The admission/preemption scheduler (the CP's). */
-    void setAdmissionPolicy(AdmissionPolicy *p) { admission = p; }
     /// @}
 
     /// @name Context lifecycle
@@ -111,35 +112,43 @@ class Dispatcher : public sim::Clocked,
 
     /**
      * Install a new CU-ownership map (`owner[cu]` = ctx id, -1 =
-     * unowned). Revoked CUs pre-empt their Running/Dispatching WGs;
-     * granted CUs pick up pending work immediately. Offline CUs keep
-     * their owner (nothing can run there anyway).
+     * unowned). Revoked CUs pre-empt their Running/Dispatching WGs,
+     * except halted ones (every wavefront done: their queued
+     * completion frees the slot); granted CUs pick up pending work
+     * immediately. Offline CUs keep their owner (nothing can run
+     * there anyway).
      */
     void setCuAssignment(const std::vector<int> &owner);
 
     const std::vector<int> &cuAssignment() const { return cuOwner; }
-
-    /**
-     * Legacy single-kernel entry: create, arrive and admit one
-     * context at the current tick. Without an AdmissionPolicy the
-     * dispatcher self-admits and takes every CU (standalone use in
-     * unit tests); with one installed the policy decides, exactly as
-     * enqueueKernel does.
-     */
-    void launch(const isa::Kernel &kernel);
     /// @}
 
-    bool kernelComplete() const
+    /// @name Lifecycle record (the run loop and serving reports)
+    /// @{
+
+    /** Contexts whose arrival fired. */
+    unsigned numArrivedContexts() const { return arrivedContexts; }
+
+    /** Context ids in the order they completed. */
+    const std::vector<int> &completionOrder() const
     {
-        return !wgs.empty() && completed == wgs.size();
+        return completions;
     }
 
     /** Every created context reached Complete (and one exists). */
     bool allContextsComplete() const
     {
-        return !contexts.empty() &&
-               completedContexts == contexts.size();
+        return !contexts.empty() && completions.size() == contexts.size();
     }
+
+    /** Tick of the latest context completion (0 before the first). */
+    sim::Tick lastCompletionTick() const
+    {
+        return completions.empty()
+                   ? 0
+                   : contexts[completions.back()]->completeTick;
+    }
+    /// @}
 
     /// @name WgScheduler (used by waiting-policy controllers)
     /// @{
@@ -157,7 +166,8 @@ class Dispatcher : public sim::Clocked,
 
     /**
      * Oversubscription scenario: take @p cu_id offline and pre-empt
-     * its resident WGs (kernel-level scheduling taking resources away).
+     * its resident WGs (kernel-level scheduling taking resources
+     * away). Halted WGs are skipped, as in setCuAssignment().
      */
     void offlineCu(unsigned cu_id);
 
@@ -244,6 +254,8 @@ class Dispatcher : public sim::Clocked,
     void startSwapIn(WorkGroup *wg, ComputeUnit *cu);
     void preemptRunning(WorkGroup *wg);
     void beginSwapOut(WorkGroup *wg);
+    /** SwitchingOut: drain @p wg, then save its context. */
+    void drainAndSave(WorkGroup *wg);
     void finishSwapOut(WorkGroup *wg);
 
     /**
@@ -254,6 +266,15 @@ class Dispatcher : public sim::Clocked,
      */
     int requeueDispatching(WorkGroup *w, unsigned cu_id);
 
+    /**
+     * CU @p cu_id was lost or revoked under @p w: a Dispatching WG is
+     * requeued (its id appended to @p requeued), a Running one
+     * pre-empted. WGs already switching out or restoring are on their
+     * way, and a halted WG (every wavefront done) is finished: its
+     * queued completion frees the slot, so it is never pre-empted.
+     */
+    void evict(WorkGroup *w, unsigned cu_id, std::vector<int> &requeued);
+
     /** The context owning @p w (by its ctxId). */
     DispatchContext &ctxOf(const WorkGroup *w);
 
@@ -261,12 +282,11 @@ class Dispatcher : public sim::Clocked,
     void contextCompleted(DispatchContext &ctx);
 
     const GpuConfig &config;
+    ContextSwitcher &switcher;
+    AdmissionPolicy &admission;
     std::vector<ComputeUnit *> cus;
-    ContextSwitcher *switcher = nullptr;
     sim::TraceSink *trace = nullptr;
     sim::SchedOracle *oracle = nullptr;
-    KernelListener *listener = nullptr;
-    AdmissionPolicy *admission = nullptr;
     bool swapInCapable = true;
     sim::Cycles defaultRescueCycles = 0;
 
@@ -275,7 +295,9 @@ class Dispatcher : public sim::Clocked,
     std::vector<int> residentOrder;
     /** CU ownership: ctx id per CU, -1 = unowned. */
     std::vector<int> cuOwner;
-    unsigned completedContexts = 0;
+    unsigned arrivedContexts = 0;
+    /** Completed context ids, in completion order. */
+    std::vector<int> completions;
 
     std::vector<std::unique_ptr<WorkGroup>> wgs;
     unsigned completed = 0;

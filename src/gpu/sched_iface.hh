@@ -1,8 +1,8 @@
 /**
  * @file
  * Narrow interfaces that decouple the GPU core from the Command
- * Processor, the waiting-policy controllers and the multi-kernel
- * serving layer.
+ * Processor (context switching, admission) and the waiting-policy
+ * controllers.
  */
 
 #ifndef IFP_GPU_SCHED_IFACE_HH
@@ -15,7 +15,6 @@
 namespace ifp::gpu {
 
 class WorkGroup;
-class DispatchContext;
 
 /**
  * View of the WG scheduler exposed to waiting-policy controllers
@@ -85,48 +84,6 @@ class CuListener
      */
     virtual void wgWantsSwitch(WorkGroup *wg,
                                sim::Cycles rescue_cycles) = 0;
-};
-
-/**
- * Typed per-kernel lifecycle hooks. The dispatcher pushes these both
- * to a global listener (GpuSystem's run loop) and to the per-context
- * listener from LaunchOptions, so serving-layer statistics are
- * event-driven — nothing polls dispatcher state. This replaces the
- * old untyped Dispatcher::setOnComplete(std::function) completion
- * back-channel.
- */
-class KernelListener
-{
-  public:
-    virtual ~KernelListener() = default;
-
-    /** The context entered the admission queue (arrival time). */
-    virtual void kernelEnqueued(const DispatchContext &) {}
-
-    /** The admission scheduler made the context resident. */
-    virtual void kernelAdmitted(const DispatchContext &) {}
-
-    /**
-     * One of the context's WGs was forcibly pre-empted (CU lost to a
-     * higher-priority kernel or to a fault).
-     */
-    virtual void kernelPreempted(const DispatchContext &, int wg_id,
-                                 int cu_id)
-    {
-        (void)wg_id;
-        (void)cu_id;
-    }
-
-    /** A previously pre-empted/swapped WG was swapped back in. */
-    virtual void kernelResumed(const DispatchContext &, int wg_id,
-                               int cu_id)
-    {
-        (void)wg_id;
-        (void)cu_id;
-    }
-
-    /** Every WG of the context completed. */
-    virtual void kernelCompleted(const DispatchContext &) {}
 };
 
 /**

@@ -132,9 +132,6 @@ class WorkGroup
     /** Stop the stall clock (at completion or end of simulation). */
     void closeAccounting(sim::Tick now);
 
-    /** True once closeAccounting() ran. */
-    bool accountingClosed() const { return booksClosed; }
-
     /** Lifetime covered by the buckets so far (creation to close). */
     sim::Tick accountedTicks() const;
     /// @}
@@ -158,14 +155,6 @@ class WorkGroup
 
     /** A waiting wavefront resumed; stops the clock on 1 -> 0. */
     void endWait(sim::Tick now, bool spin = false);
-
-    /** Total resident+swapped lifetime, dispatch to completion. */
-    sim::Tick
-    execTicks() const
-    {
-        return completeTick > dispatchTick ? completeTick - dispatchTick
-                                           : 0;
-    }
 
   private:
     /** Accumulate into the open bucket and switch to @p next. */

@@ -56,22 +56,6 @@ admissionConfigFor(const std::string &name)
     return adm;
 }
 
-/**
- * Event-driven serving statistics: the typed per-context listener
- * records the completion order as it happens — no dispatcher polling.
- */
-class ServingObserver : public gpu::KernelListener
-{
-  public:
-    void
-    kernelCompleted(const gpu::DispatchContext &ctx) override
-    {
-        completionOrder.push_back(ctx.id);
-    }
-
-    std::vector<int> completionOrder;
-};
-
 } // anonymous namespace
 
 std::vector<ServingTenant>
@@ -119,7 +103,6 @@ runServingScenario(const ServingConfig &cfg)
         run_cfg.traceEnabled = true;
 
     core::GpuSystem system(run_cfg);
-    ServingObserver observer;
 
     // The whole arrival schedule is drawn up front from one seeded
     // generator: tenant pick, then an exponential inter-arrival gap.
@@ -162,7 +145,6 @@ runServingScenario(const ServingConfig &cfg)
         opts.tenant = tenant->name;
         opts.priority = tenant->priority;
         opts.deadlineCycles = tenant->deadlineCycles;
-        opts.listener = &observer;
         auto at = static_cast<sim::Tick>(
             std::llround(t_us * 1'000'000.0));
         launch.ctxId =
@@ -205,7 +187,7 @@ runServingScenario(const ServingConfig &cfg)
     report.seed = cfg.seed;
     report.verdict = serve_result.run.verdictString();
     report.makespanCycles = serve_result.run.gpuCycles;
-    report.completionOrder = std::move(observer.completionOrder);
+    report.completionOrder = system.dispatcher().completionOrder();
     report.kernels = std::move(serve_result.kernels);
     report.run = std::move(serve_result.run);
 

@@ -15,9 +15,9 @@
  * writer's number rule is deterministic — the same config produces a
  * byte-identical report on every rerun and across IFP_BENCH_JOBS.
  *
- * Per-kernel statistics are event-driven via the typed KernelListener
- * hooks and the DispatchContext stat shadows; nothing polls the
- * dispatcher during the run.
+ * Per-kernel statistics come from the dispatcher's lifecycle record
+ * and the DispatchContext stat shadows after the run; nothing polls
+ * the dispatcher while it runs.
  */
 
 #ifndef IFP_HARNESS_SERVING_HH
@@ -112,7 +112,7 @@ struct ServingReport
      */
     double fairness = 0.0;
 
-    /** Completion order of context ids (from the KernelListener). */
+    /** Completion order of context ids (from the dispatcher). */
     std::vector<int> completionOrder;
 
     /** Per-kernel outcomes, in ctx-id (creation) order. */

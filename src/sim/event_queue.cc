@@ -135,15 +135,6 @@ EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 bool
 EventQueue::step()
 {
-    // Scope the trace hook to this step: queues may interleave on
-    // one thread, and sweep workers each carry their own queue.
-    TraceTickScope trace_scope(&_curTick);
-    return stepOne();
-}
-
-bool
-EventQueue::stepOne()
-{
     while (!heap.empty()) {
         HeapEntry entry = heap.top();
         heap.pop();
@@ -173,8 +164,6 @@ EventQueue::stepOne()
 Tick
 EventQueue::simulate(Tick limit)
 {
-    // One scope for the whole run keeps the per-event cost at zero.
-    TraceTickScope trace_scope(&_curTick);
     while (!heap.empty()) {
         const HeapEntry &top = heap.top();
         Event *event = top.event;
@@ -184,7 +173,7 @@ EventQueue::simulate(Tick limit)
         }
         if (top.when > limit)
             break;
-        stepOne();
+        step();
     }
     return _curTick;
 }

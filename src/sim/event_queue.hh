@@ -19,12 +19,8 @@
  *
  * Reentrancy contract: an EventQueue is confined to one thread at a
  * time, but any number of queues may be live concurrently on
- * different threads (one per parallel-sweep worker). The only global
- * the queue touches — the trace-tick hook — is thread-local and is
- * held via an RAII TraceTickScope opened around step()/simulate(), so
- * interleaved queues on one thread and concurrent queues on many
- * threads both trace their own ticks, and a dying queue never leaves
- * a hook behind.
+ * different threads (one per parallel-sweep worker). A queue touches
+ * no global state, so queues never interfere.
  */
 
 #ifndef IFP_SIM_EVENT_QUEUE_HH
@@ -172,9 +168,6 @@ class EventQueue
     std::size_t freeListSize() const { return freeList.size(); }
 
   private:
-    /** step() minus the trace-tick scope; simulate() loops on this. */
-    bool stepOne();
-
     /**
      * @p recycleOwned false keeps a queue-owned one-shot out of the
      * free-list (reschedule() re-arms the same object immediately).

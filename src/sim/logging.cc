@@ -1,35 +1,6 @@
 #include "sim/logging.hh"
 
-#include <atomic>
-#include <cinttypes>
-#include <cstdint>
-#include <mutex>
-#include <set>
-
 namespace ifp::sim {
-
-namespace {
-
-// Debug flags are process-wide state shared by every simulation
-// thread: guarded by a mutex, with a relaxed atomic count so the
-// common no-tracing case never takes the lock.
-std::mutex flagMutex;
-std::set<std::string> enabledFlags;
-std::atomic<int> numEnabledFlags{0};
-
-// The tick source is thread-local so each parallel-sweep worker
-// traces against its own EventQueue (see logging.hh).
-thread_local const std::uint64_t *traceTickSource = nullptr;
-
-void
-vreport(const char *prefix, const char *fmt, va_list args)
-{
-    std::fprintf(stderr, "%s", prefix);
-    std::vfprintf(stderr, fmt, args);
-    std::fprintf(stderr, "\n");
-}
-
-} // anonymous namespace
 
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
@@ -58,80 +29,12 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 void
 warnImpl(const char *fmt, ...)
 {
-    va_list args;
-    va_start(args, fmt);
-    vreport("warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("info: ", fmt, args);
-    va_end(args);
-}
-
-void
-setDebugFlag(const std::string &flag)
-{
-    std::lock_guard<std::mutex> lock(flagMutex);
-    enabledFlags.insert(flag);
-    numEnabledFlags.store(static_cast<int>(enabledFlags.size()),
-                          std::memory_order_relaxed);
-}
-
-void
-clearDebugFlag(const std::string &flag)
-{
-    std::lock_guard<std::mutex> lock(flagMutex);
-    enabledFlags.erase(flag);
-    numEnabledFlags.store(static_cast<int>(enabledFlags.size()),
-                          std::memory_order_relaxed);
-}
-
-bool
-debugFlagEnabled(const std::string &flag)
-{
-    if (numEnabledFlags.load(std::memory_order_relaxed) == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(flagMutex);
-    return enabledFlags.count(flag) != 0;
-}
-
-void
-tracePrintf(const std::string &flag, const char *fmt, ...)
-{
-    if (!debugFlagEnabled(flag))
-        return;
-    std::uint64_t tick = traceTickSource ? *traceTickSource : 0;
-    std::fprintf(stderr, "%12" PRIu64 ": %s: ", tick, flag.c_str());
+    std::fprintf(stderr, "warn: ");
     va_list args;
     va_start(args, fmt);
     std::vfprintf(stderr, fmt, args);
     va_end(args);
     std::fprintf(stderr, "\n");
-}
-
-TraceTickScope::TraceTickScope(const std::uint64_t *tick_counter)
-    : prev(traceTickSource), mine(tick_counter)
-{
-    traceTickSource = mine;
-}
-
-TraceTickScope::~TraceTickScope()
-{
-    // Restore only if still installed: a scope that was (incorrectly)
-    // destroyed out of order must not clobber a newer installation.
-    if (traceTickSource == mine)
-        traceTickSource = prev;
-}
-
-std::uint64_t
-traceCurrentTick()
-{
-    return traceTickSource ? *traceTickSource : 0;
 }
 
 } // namespace ifp::sim

@@ -6,21 +6,17 @@
  * panic()  - an internal simulator invariant was violated; aborts.
  * fatal()  - the user asked for something unsupported; exits cleanly.
  * warn()   - something is questionable but simulation continues.
- * inform() - plain status output.
  *
- * A lightweight trace facility (debug flags + tracePrintf) stands in for
- * gem5's DPRINTF. Flags are enabled by name at runtime, so unit tests and
- * examples can turn on per-module tracing without recompiling.
+ * Simulator events are observed through the per-run TraceSink
+ * (sim/trace_sink.hh), not through text logging.
  */
 
 #ifndef IFP_SIM_LOGGING_HH
 #define IFP_SIM_LOGGING_HH
 
 #include <cstdarg>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 namespace ifp::sim {
 
@@ -29,7 +25,6 @@ namespace ifp::sim {
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 #define ifp_panic(...) \
     ::ifp::sim::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
@@ -40,56 +35,6 @@ void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
         if (!(cond))                                                  \
             ::ifp::sim::panicImpl(__FILE__, __LINE__, __VA_ARGS__);   \
     } while (0)
-
-/** Enable a debug/trace flag by name (e.g. "SyncMon", "CU"). */
-void setDebugFlag(const std::string &flag);
-
-/** Disable a previously enabled debug flag. */
-void clearDebugFlag(const std::string &flag);
-
-/**
- * True when the given trace flag has been enabled. Flags are shared
- * across threads (guarded internally); the no-flags-enabled fast path
- * is a single relaxed atomic load so tracing costs nothing when off.
- */
-bool debugFlagEnabled(const std::string &flag);
-
-/**
- * Emit one trace line, prefixed with the current tick and the flag name,
- * if the flag is enabled. Mirrors gem5's DPRINTF.
- */
-void tracePrintf(const std::string &flag, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-/**
- * RAII hook used by tracePrintf to learn the current simulated time.
- * The tick source is *thread-local*: each worker thread of a parallel
- * sweep traces against the EventQueue it is currently stepping, and
- * concurrently-live queues never cross-wire.
- *
- * A scope installs @p tick_counter for the calling thread on
- * construction and restores the previously installed source on
- * destruction. Scopes must nest like stack frames within a thread
- * (which they do naturally as locals); EventQueue opens one around
- * each step so traces always report the stepping queue's time. With
- * no scope open, traceCurrentTick() reports 0.
- */
-class TraceTickScope
-{
-  public:
-    explicit TraceTickScope(const std::uint64_t *tick_counter);
-    ~TraceTickScope();
-
-    TraceTickScope(const TraceTickScope &) = delete;
-    TraceTickScope &operator=(const TraceTickScope &) = delete;
-
-  private:
-    const std::uint64_t *prev;
-    const std::uint64_t *mine;
-};
-
-/** Tick the calling thread's trace facility would print right now. */
-std::uint64_t traceCurrentTick();
 
 } // namespace ifp::sim
 

@@ -43,6 +43,7 @@ traceEventKindName(TraceEventKind kind)
       case TraceEventKind::WgPreempted: return "wg-preempted";
       case TraceEventKind::CondArmed: return "cond-armed";
       case TraceEventKind::CondFired: return "cond-fired";
+      case TraceEventKind::AwgPredict: return "awg-predict";
       case TraceEventKind::CondSpilled: return "cond-spilled";
       case TraceEventKind::LogAbsorb: return "log-absorb";
       case TraceEventKind::LogDrain: return "log-drain";
@@ -82,6 +83,7 @@ isSyncMonKind(TraceEventKind kind)
 {
     return kind == TraceEventKind::CondArmed ||
            kind == TraceEventKind::CondFired ||
+           kind == TraceEventKind::AwgPredict ||
            kind == TraceEventKind::CondSpilled;
 }
 

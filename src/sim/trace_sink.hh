@@ -77,6 +77,7 @@ enum class TraceEventKind : std::uint8_t
     WgPreempted,    //!< forcibly pre-empted (CU loss)
     CondArmed,      //!< SyncMon registered a waiting condition
     CondFired,      //!< SyncMon resumed waiters of a met condition
+    AwgPredict,     //!< AWG's resume-all/one input (value = uniques)
     CondSpilled,    //!< condition spilled towards the Monitor Log
     LogAbsorb,      //!< CP Monitor Log absorbed a spilled condition
     LogDrain,       //!< CP drained log entries into the monitor table

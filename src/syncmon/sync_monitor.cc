@@ -554,11 +554,8 @@ SyncMonController::onMonitoredAccess(mem::Addr addr,
         if (!e)
             return;
         unsigned unique = blooms.filterFor(lineOf(addr)).uniqueCount();
-        sim::tracePrintf("AWGPred",
-                         "addr=%llx val=%lld waiters=%u uniques=%u",
-                         static_cast<unsigned long long>(addr),
-                         static_cast<long long>(new_value),
-                         e->numWaiters, unique);
+        sim::emitTrace(trace, curTick(), sim::TraceEventKind::AwgPredict,
+                       -1, -1, sim::StallReason::Running, addr, unique);
         if (e->numWaiters > 1 &&
             unique > config.uniqueUpdateThreshold) {
             ++predictAll;

@@ -29,8 +29,6 @@ class TimeoutController : public mem::SyncObserver
 
     void setScheduler(gpu::WgScheduler *s) { scheduler = s; }
 
-    sim::Cycles intervalCycles() const { return interval; }
-
     mem::WaitDecision
     onWaitFail(const mem::MemRequest &req,
                mem::MemValue observed) override

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
 
 namespace ifp::sim {
 namespace {
@@ -427,45 +426,6 @@ TEST(EventQueueClear, QueueStaysUsable)
     EXPECT_TRUE(eq.empty());
     eq.clear();  // clearing an empty queue is a no-op
     EXPECT_EQ(eq.size(), 0u);
-}
-
-// Regression: constructing a second EventQueue used to overwrite the
-// trace tick hook for the whole process, so an older queue's traces
-// reported the younger queue's ticks. The hook is now a TraceTickScope
-// held only across step()/simulate(), so interleaved queues report
-// their own time.
-TEST(EventQueueTraceTick, ConcurrentlyLiveQueuesTraceTheirOwnTicks)
-{
-    EventQueue a;
-    EventQueue b;   // would cross-wire 'a' before the fix
-    std::uint64_t seen_a = ~0ull, seen_b = ~0ull;
-    a.schedule(100, [&] { seen_a = traceCurrentTick(); });
-    b.schedule(7, [&] { seen_b = traceCurrentTick(); });
-    a.step();
-    b.step();
-    EXPECT_EQ(seen_a, 100u);
-    EXPECT_EQ(seen_b, 7u);
-    // And again in the other order, after both queues advanced.
-    a.schedule(200, [&] { seen_a = traceCurrentTick(); });
-    b.schedule(30, [&] { seen_b = traceCurrentTick(); });
-    b.step();
-    a.step();
-    EXPECT_EQ(seen_a, 200u);
-    EXPECT_EQ(seen_b, 30u);
-}
-
-TEST(EventQueueTraceTick, DyingQueueDoesNotUnhookSibling)
-{
-    auto a = std::make_unique<EventQueue>();
-    std::uint64_t seen = ~0ull;
-    a->schedule(100, [&] { seen = traceCurrentTick(); });
-    {
-        EventQueue b;   // scopes the hook to its own simulate()...
-        b.schedule(1, [] {});
-        b.simulate();
-    }                   // ...and must leave no trace of itself on death
-    a->step();
-    EXPECT_EQ(seen, 100u);
 }
 
 } // anonymous namespace

@@ -1,68 +1,15 @@
 /**
  * @file
- * Unit tests for the trace-flag facility and the waiting-CAS
- * instruction end-to-end (the paper's "CAS is a perfect candidate
- * for a waiting atomic").
+ * Unit tests for the waiting-CAS instruction end-to-end (the paper's
+ * "CAS is a perfect candidate for a waiting atomic").
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/logging.hh"
 #include "test_helpers.hh"
 
 namespace ifp {
 namespace {
-
-TEST(DebugFlags, EnableDisable)
-{
-    EXPECT_FALSE(sim::debugFlagEnabled("TestFlag"));
-    sim::setDebugFlag("TestFlag");
-    EXPECT_TRUE(sim::debugFlagEnabled("TestFlag"));
-    sim::clearDebugFlag("TestFlag");
-    EXPECT_FALSE(sim::debugFlagEnabled("TestFlag"));
-}
-
-TEST(DebugFlags, FlagsAreIndependent)
-{
-    sim::setDebugFlag("A");
-    EXPECT_TRUE(sim::debugFlagEnabled("A"));
-    EXPECT_FALSE(sim::debugFlagEnabled("B"));
-    sim::clearDebugFlag("A");
-}
-
-TEST(DebugFlags, TracePrintfIsNoOpWhenDisabled)
-{
-    // Must not crash or emit with the flag off (output goes to
-    // stderr; here we only check it does not blow up).
-    sim::tracePrintf("DisabledFlag", "value=%d", 42);
-    sim::setDebugFlag("EnabledFlag");
-    sim::tracePrintf("EnabledFlag", "value=%d", 42);
-    sim::clearDebugFlag("EnabledFlag");
-}
-
-TEST(TraceTickScope, InstallsAndRestoresOnDestruction)
-{
-    EXPECT_EQ(sim::traceCurrentTick(), 0u);
-    std::uint64_t ticks = 42;
-    {
-        sim::TraceTickScope scope(&ticks);
-        EXPECT_EQ(sim::traceCurrentTick(), 42u);
-        ticks = 43;
-        EXPECT_EQ(sim::traceCurrentTick(), 43u);
-    }
-    EXPECT_EQ(sim::traceCurrentTick(), 0u);
-}
-
-TEST(TraceTickScope, NestedScopesRestoreTheOuterSource)
-{
-    std::uint64_t outer = 1, inner = 2;
-    sim::TraceTickScope outer_scope(&outer);
-    {
-        sim::TraceTickScope inner_scope(&inner);
-        EXPECT_EQ(sim::traceCurrentTick(), 2u);
-    }
-    EXPECT_EQ(sim::traceCurrentTick(), 1u);
-}
 
 TEST(WaitingCas, ProducerConsumerViaWaitingCompareAndSwap)
 {

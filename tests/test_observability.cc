@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -35,6 +36,19 @@ tinyExperiment(core::Policy policy)
     exp.runCfg.gpu.numCus = 2;
     exp.observe.captureTrace = true;
     return exp;
+}
+
+/** Run @p exp and return its recorded TraceEvents. */
+std::vector<sim::TraceEvent>
+traceEventsOf(const harness::Experiment &exp)
+{
+    std::vector<sim::TraceEvent> events;
+    harness::runExperimentWithSystem(exp,
+                                     [&](core::GpuSystem &system) {
+                                         events =
+                                             system.traceSink()->events();
+                                     });
+    return events;
 }
 
 /** Run @p exp and return the Chrome-trace JSON text. */
@@ -183,6 +197,34 @@ TEST(ChromeTrace, DocumentCarriesSchema)
     const Value *schema = doc->find("schema");
     ASSERT_NE(schema, nullptr);
     EXPECT_EQ(schema->string, "ifp-trace-v1");
+}
+
+TEST(ChromeTrace, EveryAwgCondFiredHasItsPrediction)
+{
+    // AWG's resume-all/one choice is traced as an awg-predict instant
+    // (address, unique-update count) beside the cond-fired it explains.
+    std::vector<sim::TraceEvent> events =
+        traceEventsOf(tinyExperiment(core::Policy::Awg));
+    unsigned fired = 0;
+    for (const sim::TraceEvent &ev : events) {
+        if (ev.kind != sim::TraceEventKind::CondFired)
+            continue;
+        ++fired;
+        bool predicted = std::any_of(
+            events.begin(), events.end(), [&](const sim::TraceEvent &p) {
+                return p.kind == sim::TraceEventKind::AwgPredict &&
+                       p.tick == ev.tick && p.addr == ev.addr;
+            });
+        EXPECT_TRUE(predicted) << "cond-fired at tick " << ev.tick
+                               << " addr " << ev.addr;
+    }
+    EXPECT_GT(fired, 0u) << "the AWG run fired no condition";
+
+    for (const sim::TraceEvent &ev :
+         traceEventsOf(tinyExperiment(core::Policy::MonNRAll))) {
+        EXPECT_NE(ev.kind, sim::TraceEventKind::AwgPredict)
+            << "awg-predict in a MonNR-All trace";
+    }
 }
 
 TEST(StatsJson, DocumentCarriesSchema)

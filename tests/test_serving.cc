@@ -12,6 +12,9 @@
  *  - legacy equivalence: run() and a single-kernel enqueue+serve()
  *    produce byte-identical stats-JSON for all 12 workloads,
  *  - admission: "serial" admission serializes kernels,
+ *  - the halted-WG rule: CU loss or revocation never pre-empts a WG
+ *    whose wavefronts have all halted (its completion is queued), so
+ *    a completion never lands mid-drain,
  *  - the FaultPlan::cuLoss factory.
  */
 
@@ -176,6 +179,26 @@ TEST(Serving, SerialAdmissionSerializes)
     EXPECT_TRUE(b->validate(system.memory(), params, err)) << err;
 }
 
+/** completionOrder names every context once, in completion time. */
+void
+expectCompletionOrderValid(const harness::ServingReport &report)
+{
+    std::vector<int> seen(report.kernels.size(), 0);
+    sim::Cycles last = 0;
+    for (int ctx : report.completionOrder) {
+        ASSERT_GE(ctx, 0);
+        ASSERT_LT(static_cast<std::size_t>(ctx), report.kernels.size());
+        ++seen[static_cast<std::size_t>(ctx)];
+        const core::KernelRunStat &ks =
+            report.kernels[static_cast<std::size_t>(ctx)];
+        EXPECT_TRUE(ks.completed) << "ctx" << ctx;
+        EXPECT_GE(ks.completeCycle, last) << "ctx" << ctx;
+        last = ks.completeCycle;
+    }
+    for (std::size_t ctx = 0; ctx < seen.size(); ++ctx)
+        EXPECT_EQ(seen[ctx], 1) << "ctx" << ctx;
+}
+
 TEST(Serving, ConcurrentKernelsShareCusUnderFloor)
 {
     harness::ServingConfig cfg = twoTenantConfig();
@@ -188,7 +211,7 @@ TEST(Serving, ConcurrentKernelsShareCusUnderFloor)
     EXPECT_GT(report.admissionPasses, 0u);
     EXPECT_GT(report.fairness, 0.0);
     EXPECT_LE(report.fairness, 1.0);
-    EXPECT_EQ(report.completionOrder.size(), cfg.numLaunches);
+    expectCompletionOrderValid(report);
 }
 
 // ---------------------------------------------------------------------
@@ -230,6 +253,75 @@ TEST(Serving, LegacyRunEqualsSingleKernelServe)
         EXPECT_EQ(statsJsonFor(w, false), statsJsonFor(w, true))
             << w << ": run() and enqueue+serve() diverged";
     }
+}
+
+// ---------------------------------------------------------------------
+// The halted-WG rule (completion versus drain)
+// ---------------------------------------------------------------------
+
+TEST(ServingRace, CuLossSkipsAWgWhoseWavefrontsAllHalted)
+{
+    // Step until some Running WG has halted every wavefront: its
+    // cu.wgDone completion is queued for this tick but has not run.
+    core::GpuSystem system(test::testRunConfig(core::Policy::Awg));
+    workloads::WorkloadParams params = test::smallParams();
+    params.style = core::styleFor(core::Policy::Awg);
+    auto workload = workloads::makeWorkload("SPM_G");
+    isa::Kernel kernel = workload->build(system, params);
+    system.enqueueKernel(kernel);
+
+    const gpu::Dispatcher &dispatcher = system.dispatcher();
+    const gpu::WorkGroup *halted = nullptr;
+    while (!halted && system.eventq().step()) {
+        for (const auto &wg : dispatcher.workgroups()) {
+            if (wg->state == gpu::WgState::Running && wg->complete()) {
+                halted = wg.get();
+                break;
+            }
+        }
+    }
+    ASSERT_NE(halted, nullptr)
+        << "no WG was seen between its last halt and its completion";
+
+    // Losing the CU now must leave the halted WG to its completion:
+    // pre-empting it would queue a context save that completes after
+    // the WG is already Done.
+    system.dispatcher().offlineCu(static_cast<unsigned>(halted->cuId));
+    core::ServeResult res = system.serve();
+    ASSERT_EQ(res.run.verdict, core::Verdict::Complete)
+        << res.run.verdictString();
+    std::string err;
+    EXPECT_TRUE(workload->validate(system.memory(), params, err)) << err;
+}
+
+/** A 1000-launch AWG stream at the serving defaults. */
+harness::ServingReport
+serveStream(std::uint64_t seed, const std::string &admission)
+{
+    harness::ServingConfig cfg;
+    cfg.policy = core::Policy::Awg;
+    cfg.admission = admission;
+    cfg.numLaunches = 1000;
+    cfg.seed = seed;
+    cfg.meanInterarrivalUs = 5.0;
+    cfg.params = harness::defaultServingParams();
+    return harness::runServingScenario(cfg);
+}
+
+// Streams on which CU revocation once caught a halted WG before its
+// completion ran (runServingScenario validates every launch).
+TEST(ServingRace, Stream60UnderPriorityAdmissionCompletes)
+{
+    harness::ServingReport report = serveStream(60, "priority");
+    EXPECT_TRUE(report.allCompleted) << report.verdict;
+    expectCompletionOrderValid(report);
+}
+
+TEST(ServingRace, Stream457UnderShareAdmissionCompletes)
+{
+    harness::ServingReport report = serveStream(457, "share");
+    EXPECT_TRUE(report.allCompleted) << report.verdict;
+    expectCompletionOrderValid(report);
 }
 
 // ---------------------------------------------------------------------

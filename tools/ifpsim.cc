@@ -8,7 +8,6 @@
  *   ifpsim --workload TB_LG --policy MonNR-One --oversubscribed
  *   ifpsim --workload SPM_G --policy AWG --wgs 128 --group 16 \
  *          --stats --json result.json
- *   ifpsim --workload SLM_G --policy MonR-All --debug AWGPred
  *   ifpsim --workload FAM_G --policy AWG --fault-plan kitchen-sink
  *   ifpsim --workload SPM_G --policy MonNR-All --chaos-seed 7
  */
@@ -107,8 +106,7 @@ usage()
         "  --json FILE            write the result as JSON\n"
         "  --trace-out FILE       write a Chrome-trace JSON timeline\n"
         "                         (open in Perfetto / chrome://tracing)\n"
-        "  --stats-json FILE      write all statistics as JSON\n"
-        "  --debug FLAG           enable a trace flag (repeatable)\n";
+        "  --stats-json FILE      write all statistics as JSON\n";
 }
 
 } // anonymous namespace
@@ -196,8 +194,6 @@ main(int argc, char **argv)
             opt.traceOutPath = need(i);
         } else if (!std::strcmp(a, "--stats-json")) {
             opt.statsJsonPath = need(i);
-        } else if (!std::strcmp(a, "--debug")) {
-            sim::setDebugFlag(need(i));
         } else {
             usage();
             ifp_fatal("unknown option '%s'", a);
