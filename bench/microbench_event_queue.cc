@@ -3,9 +3,9 @@
  * Microbenchmarks of the EventQueue hot path: one-shot lambda
  * scheduling (the queue's free-list recycling vs the legacy
  * allocate-per-schedule pattern), raw schedule/step on external
- * events, and deschedule/reschedule churn. These quantify the
- * events/sec the simulator core sustains — the figure every sweep's
- * runtime is built on.
+ * events, deschedule/reschedule churn, and fig14's mix of delays.
+ * These quantify the events/sec the simulator core sustains — the
+ * figure every sweep's runtime is built on.
  */
 
 #include <benchmark/benchmark.h>
@@ -123,6 +123,63 @@ BM_Reschedule(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Reschedule);
+
+/**
+ * A CU tick: re-armed one GPU cycle ahead each time it fires, and
+ * every so often issuing a one-shot at +4 cycles (an L1 bypass) or
+ * +50 cycles (an L2 round trip).
+ */
+class TickLike : public sim::Event
+{
+  public:
+    TickLike(sim::EventQueue &eq, std::uint64_t &sink)
+        : eq(eq), sink(sink)
+    {}
+
+    void
+    process() override
+    {
+        constexpr sim::Tick cycle = 500;  // 2 GHz
+        const sim::Tick now = eq.curTick();
+        eq.schedule(this, now + cycle);
+        ++fired;
+        if (fired % 8 == 0)
+            eq.schedule(now + 4 * cycle, [this] { ++sink; });
+        if (fired % 10 == 0)
+            eq.schedule(now + 50 * cycle, [this] { ++sink; });
+    }
+
+  private:
+    sim::EventQueue &eq;
+    std::uint64_t &sink;
+    std::uint64_t fired = 0;
+};
+
+/**
+ * fig14's event mix: six member events re-armed one cycle ahead plus
+ * their one-shots at +4 and +50 cycles, about 40 entries pending in
+ * steady state. One item is one executed event.
+ */
+void
+BM_MixedDelays(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    std::uint64_t sink = 0;
+    std::vector<std::unique_ptr<TickLike>> ticks;
+    for (int i = 0; i < 6; ++i) {
+        ticks.push_back(std::make_unique<TickLike>(eq, sink));
+        eq.schedule(ticks.back().get(), 500);
+    }
+    for (int i = 0; i < 10'000; ++i)  // reach the steady state
+        eq.step();
+    for (auto _ : state)
+        eq.step();
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["pending"] = static_cast<double>(eq.size());
+    eq.clear();  // the ticks die scheduled otherwise
+}
+BENCHMARK(BM_MixedDelays);
 
 } // anonymous namespace
 

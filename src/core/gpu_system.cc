@@ -49,6 +49,18 @@ RunResult::verdictString() const
 GpuSystem::GpuSystem(const RunConfig &run_cfg)
     : cfg(run_cfg)
 {
+    if (cfg.gpu.simdsPerCu == 0)
+        throw std::invalid_argument("GpuConfig::simdsPerCu is 0; a CU "
+                                    "needs at least one SIMD");
+    if (cfg.gpu.wavefrontsPerSimd == 0 ||
+        cfg.gpu.wavefrontsPerSimd > gpu::maxWavefrontsPerSimd) {
+        throw std::invalid_argument(
+            "GpuConfig::wavefrontsPerSimd is " +
+            std::to_string(cfg.gpu.wavefrontsPerSimd) +
+            "; it must be in 1.." +
+            std::to_string(gpu::maxWavefrontsPerSimd));
+    }
+
     int num_cus = static_cast<int>(cfg.gpu.numCus);
     for (const FaultEvent &ev : cfg.faultPlan.events) {
         if (ev.kind != FaultKind::CuOffline &&

@@ -162,8 +162,10 @@ class GpuSystem
     /**
      * Composes the machine. Throws std::invalid_argument when the
      * fault plan references a CU the machine does not have (a churn
-     * target out of range) — the one construction-time error a
-     * caller can usefully catch, unlike the internal ifp_fatal paths.
+     * target out of range) or the CU geometry is out of range (no
+     * SIMD, or wavefrontsPerSimd outside 1..gpu::maxWavefrontsPerSimd)
+     * — the construction-time errors a caller can usefully catch,
+     * unlike the internal ifp_fatal paths.
      */
     explicit GpuSystem(const RunConfig &cfg);
     ~GpuSystem();

@@ -1,6 +1,7 @@
 #include "gpu/compute_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -20,6 +21,7 @@ ComputeUnit::ComputeUnit(std::string name, sim::EventQueue &eq,
       pool(request_pool),
       listener(cu_listener),
       simdWfs(cfg.simdsPerCu),
+      readyMask(cfg.simdsPerCu, 0),
       rrIndex(cfg.simdsPerCu, 0),
       statGroup(this->name()),
       numInstructions(statGroup.addScalar("instructions",
@@ -84,6 +86,8 @@ ComputeUnit::placeWg(WorkGroup *wg)
         wf->simdSlot = best;
         simdWfs[best].push_back(wf.get());
     }
+    for (unsigned s = 0; s < config.simdsPerCu; ++s)
+        rebuildSimd(s);
 }
 
 void
@@ -96,16 +100,42 @@ ComputeUnit::removeWg(WorkGroup *wg)
     ldsUsed -= wg->kernel->ldsBytes;
     wg->cuId = -1;
 
-    for (auto &simd : simdWfs) {
-        std::erase_if(simd, [wg](const Wavefront *wf) {
+    for (unsigned s = 0; s < config.simdsPerCu; ++s) {
+        std::erase_if(simdWfs[s], [wg](const Wavefront *wf) {
             return wf->wg == wg;
         });
-    }
-    for (unsigned s = 0; s < config.simdsPerCu; ++s) {
+        rebuildSimd(s);
         if (rrIndex[s] >= simdWfs[s].size())
             rrIndex[s] = 0;
     }
     drainCallbacks.erase(wg->id);
+}
+
+void
+ComputeUnit::rebuildSimd(unsigned s)
+{
+    std::uint64_t ready = 0;
+    for (unsigned i = 0; i < simdWfs[s].size(); ++i) {
+        Wavefront &wf = *simdWfs[s][i];
+        wf.simdPos = i;
+        if (wf._state == WfState::Ready)
+            ready |= std::uint64_t{1} << i;
+    }
+    readyMask[s] = ready;
+}
+
+void
+ComputeUnit::setWfState(Wavefront &wf, WfState next)
+{
+    ifp_assert(wf.wg->cuId == static_cast<int>(id),
+               "%s: wg%d wf%u changes state while not resident",
+               name().c_str(), wf.wg->id, wf.idInWg);
+    wf._state = next;
+    const std::uint64_t bit = std::uint64_t{1} << wf.simdPos;
+    if (next == WfState::Ready)
+        readyMask[wf.simdSlot] |= bit;
+    else
+        readyMask[wf.simdSlot] &= ~bit;
 }
 
 void
@@ -117,7 +147,7 @@ ComputeUnit::activateWg(WorkGroup *wg)
     sim::emitTrace(trace, curTick(), sim::TraceEventKind::WgActivated,
                    wg->id, static_cast<int>(id));
     for (auto &wf : wg->wavefronts) {
-        if (wf->state == WfState::WaitSync)
+        if (wf->state() == WfState::WaitSync)
             wakeWf(*wf);
     }
     wg->hasWaitCond = false;
@@ -129,7 +159,7 @@ void
 ComputeUnit::resumeWaitingWfs(WorkGroup *wg)
 {
     for (auto &wf : wg->wavefronts) {
-        if (wf->state == WfState::WaitSync)
+        if (wf->state() == WfState::WaitSync)
             wakeWf(*wf);
     }
     wg->hasWaitCond = false;
@@ -144,7 +174,7 @@ ComputeUnit::beginDrain(WorkGroup *wg, std::function<void()> drained)
                wgStateName(wg->state));
     // Cut sleeps short; their wake events become stale via the epoch.
     for (auto &wf : wg->wavefronts) {
-        if (wf->state == WfState::Sleeping)
+        if (wf->state() == WfState::Sleeping)
             wakeWf(*wf);
     }
     drainCallbacks[wg->id] = std::move(drained);
@@ -158,8 +188,10 @@ ComputeUnit::checkDrained(WorkGroup *wg)
     if (it == drainCallbacks.end())
         return;
     for (const auto &wf : wg->wavefronts) {
-        if (wf->state == WfState::WaitMem || wf->state == WfState::Busy)
+        if (wf->state() == WfState::WaitMem ||
+            wf->state() == WfState::Busy) {
             return;
+        }
     }
     auto cb = std::move(it->second);
     drainCallbacks.erase(it);
@@ -169,11 +201,11 @@ ComputeUnit::checkDrained(WorkGroup *wg)
 void
 ComputeUnit::wakeWf(Wavefront &wf)
 {
-    ifp_assert(wf.state != WfState::Done, "waking a done wavefront");
+    ifp_assert(wf.state() != WfState::Done, "waking a done wavefront");
     sim::Tick now = curTick();
-    if (wf.state == WfState::WaitSync || wf.state == WfState::Sleeping)
-        wf.wg->endWait(now, wf.state == WfState::Sleeping);
-    wf.state = WfState::Ready;
+    if (wf.state() == WfState::WaitSync || wf.state() == WfState::Sleeping)
+        wf.wg->endWait(now, wf.state() == WfState::Sleeping);
+    setWfState(wf, WfState::Ready);
     ++wf.waitEpoch;
     notifyReady();
 }
@@ -186,23 +218,58 @@ ComputeUnit::notifyReady()
     eventq().schedule(&tickEvent, clockEdge(1));
 }
 
-bool
-ComputeUnit::issuable(const Wavefront &wf) const
+inline unsigned
+ComputeUnit::issueCandidates(unsigned s, unsigned *out,
+                             unsigned max) const
 {
-    return wf.state == WfState::Ready &&
-           wf.wg->state == WgState::Running;
+    // Round-robin scan order: Ready wavefronts at or after rrIndex[s],
+    // then those before it; each must also belong to a Running WG.
+    const std::uint64_t ready = readyMask[s];
+    const std::uint64_t from_rr = ~std::uint64_t{0} << rrIndex[s];
+    unsigned found = 0;
+    for (std::uint64_t part : {ready & from_rr, ready & ~from_rr}) {
+        for (; part != 0; part &= part - 1) {
+            const unsigned idx = std::countr_zero(part);
+            if (simdWfs[s][idx]->wg->state != WgState::Running)
+                continue;
+            out[found++] = idx;
+            if (found == max)
+                return found;
+        }
+    }
+    return found;
 }
 
 bool
 ComputeUnit::anyIssuable() const
 {
-    for (const auto &simd : simdWfs) {
-        for (const Wavefront *wf : simd) {
-            if (issuable(*wf))
-                return true;
-        }
+    for (unsigned s = 0; s < config.simdsPerCu; ++s) {
+        unsigned idx = 0;
+        if (issueCandidates(s, &idx, 1) > 0)
+            return true;
     }
     return false;
+}
+
+bool
+ComputeUnit::oraclePick(unsigned s, unsigned &idx) const
+{
+    // Candidate 0 is the stock pick; the oracle may issue any of them
+    // (SIMT arbitration order is unspecified).
+    unsigned cands[maxWavefrontsPerSimd];
+    const unsigned found = issueCandidates(s, cands, maxWavefrontsPerSimd);
+    if (found == 0)
+        return false;
+    unsigned pick = 0;
+    if (found > 1) {
+        int actors[maxWavefrontsPerSimd];
+        for (unsigned c = 0; c < found; ++c)
+            actors[c] = simdWfs[s][cands[c]]->wg->id;
+        pick = oracle->chooseWithActors(sim::ChoicePoint::WavefrontIssue,
+                                        found, 0, actors);
+    }
+    idx = cands[pick];
+    return true;
 }
 
 void
@@ -211,51 +278,15 @@ ComputeUnit::tick()
     bool issued = false;
 
     for (unsigned s = 0; s < config.simdsPerCu; ++s) {
-        // Snapshot: executeInstr may complete a WG and mutate lists.
+        unsigned idx = 0;
+        const bool found = oracle ? oraclePick(s, idx)
+                                  : issueCandidates(s, &idx, 1) > 0;
+        if (!found)
+            continue;
         auto &simd = simdWfs[s];
-        if (simd.empty())
-            continue;
-        unsigned n = simd.size();
-        if (oracle) {
-            // Enumerate the issuable wavefronts in round-robin scan
-            // order so preferred index 0 is the stock pick; the
-            // oracle may issue any of them (SIMT arbitration order
-            // is unspecified).
-            std::vector<unsigned> cands;
-            for (unsigned k = 0; k < n; ++k) {
-                unsigned idx = (rrIndex[s] + k) % n;
-                if (issuable(*simd[idx]))
-                    cands.push_back(idx);
-            }
-            if (cands.empty())
-                continue;
-            unsigned pick = 0;
-            if (cands.size() > 1) {
-                std::vector<int> actors;
-                actors.reserve(cands.size());
-                for (unsigned c : cands)
-                    actors.push_back(simd[c]->wg->id);
-                pick = oracle->chooseWithActors(
-                    sim::ChoicePoint::WavefrontIssue,
-                    static_cast<unsigned>(cands.size()), 0,
-                    actors.data());
-            }
-            unsigned idx = cands[pick];
-            rrIndex[s] = (idx + 1) % n;
-            executeInstr(*simd[idx]);
-            issued = true;
-            continue;
-        }
-        for (unsigned k = 0; k < n; ++k) {
-            unsigned idx = (rrIndex[s] + k) % n;
-            Wavefront *wf = simd[idx];
-            if (!issuable(*wf))
-                continue;
-            rrIndex[s] = (idx + 1) % n;
-            executeInstr(*wf);
-            issued = true;
-            break;
-        }
+        rrIndex[s] = idx + 1 < simd.size() ? idx + 1 : 0;
+        executeInstr(*simd[idx]);
+        issued = true;
     }
 
     if (issued)
@@ -269,15 +300,15 @@ ComputeUnit::doBarrier(Wavefront &wf)
     WorkGroup *wg = wf.wg;
     ++numBarriers;
     ++wf.pc;
-    wf.state = WfState::WaitBarrier;
+    setWfState(wf, WfState::WaitBarrier);
     ++wg->barrierArrived;
 
     unsigned alive = wg->wavefronts.size() - wg->doneWfs;
     if (wg->barrierArrived >= alive) {
         wg->barrierArrived = 0;
         for (auto &other : wg->wavefronts) {
-            if (other->state == WfState::WaitBarrier) {
-                other->state = WfState::Ready;
+            if (other->state() == WfState::WaitBarrier) {
+                setWfState(*other, WfState::Ready);
                 ++other->waitEpoch;
             }
         }
@@ -394,13 +425,13 @@ ComputeUnit::executeInstr(Wavefront &wf)
         wf.setReg(in.dst,
                   wf.wg->ldsRead(wf.reg(in.src0) + in.imm));
         ++wf.pc;
-        wf.state = WfState::Busy;
+        setWfState(wf, WfState::Busy);
         scheduleWake(wf, config.ldsLatency);
         return;
       case Opcode::StLds:
         wf.wg->ldsWrite(wf.reg(in.src0) + in.imm, wf.reg(in.src1));
         ++wf.pc;
-        wf.state = WfState::Busy;
+        setWfState(wf, WfState::Busy);
         scheduleWake(wf, config.ldsLatency);
         return;
       case Opcode::Ld:
@@ -415,21 +446,21 @@ ComputeUnit::executeInstr(Wavefront &wf)
         std::int64_t cycles = wf.reg(in.src0);
         ifp_assert(cycles > 0, "s_sleep with non-positive duration");
         ++wf.pc;
-        wf.state = WfState::Sleeping;
+        setWfState(wf, WfState::Sleeping);
         wf.wg->beginWait(curTick(), /*spin=*/true);
         scheduleWake(wf, static_cast<sim::Cycles>(cycles));
         return;
       }
       case Opcode::Valu:
         ++wf.pc;
-        wf.state = WfState::Busy;
+        setWfState(wf, WfState::Busy);
         scheduleWake(wf, static_cast<sim::Cycles>(in.imm));
         return;
       case Opcode::Bar:
         doBarrier(wf);
         return;
       case Opcode::Halt: {
-        wf.state = WfState::Done;
+        setWfState(wf, WfState::Done);
         WorkGroup *wg = wf.wg;
         ++wg->doneWfs;
         // Late arrivals at a barrier must not wait for done WFs.
@@ -437,8 +468,8 @@ ComputeUnit::executeInstr(Wavefront &wf)
             wg->barrierArrived >= wg->wavefronts.size() - wg->doneWfs) {
             wg->barrierArrived = 0;
             for (auto &other : wg->wavefronts) {
-                if (other->state == WfState::WaitBarrier) {
-                    other->state = WfState::Ready;
+                if (other->state() == WfState::WaitBarrier) {
+                    setWfState(*other, WfState::Ready);
                     ++other->waitEpoch;
                 }
             }
@@ -505,7 +536,7 @@ ComputeUnit::issueMemRequest(Wavefront &wf, const isa::Instr &in)
         ifp_panic("not a memory opcode");
     }
 
-    wf.state = WfState::WaitMem;
+    setWfState(wf, WfState::WaitMem);
     ++wf.wg->memWaitWfs;
     wf.wg->refreshRunBucket(curTick());
     // The transport chain owns the request until it responds; the
@@ -524,9 +555,9 @@ ComputeUnit::onMemResponse(mem::MemRequest &req, std::uint64_t tag)
 void
 ComputeUnit::memResponse(Wavefront &wf, const mem::MemRequest &req)
 {
-    ifp_assert(wf.state == WfState::WaitMem,
+    ifp_assert(wf.state() == WfState::WaitMem,
                "memory response for wg%d wf%u in state %d", wf.wg->id,
-               wf.idInWg, static_cast<int>(wf.state));
+               wf.idInWg, static_cast<int>(wf.state()));
     ifp_assert(wf.wg->memWaitWfs > 0, "wg%d memWait underflow",
                wf.wg->id);
     --wf.wg->memWaitWfs;
@@ -536,23 +567,23 @@ ComputeUnit::memResponse(Wavefront &wf, const mem::MemRequest &req)
         const isa::Instr &in = wf.wg->kernel->code[wf.pc];
         wf.setReg(in.dst, store.read(req.addr, 8));
         ++wf.pc;
-        wf.state = WfState::Ready;
+        setWfState(wf, WfState::Ready);
         break;
       }
       case mem::MemOp::Write:
         ++wf.pc;
-        wf.state = WfState::Ready;
+        setWfState(wf, WfState::Ready);
         break;
       case mem::MemOp::Atomic: {
         if (!req.waitFailed) {
             const isa::Instr &in = wf.wg->kernel->code[wf.pc];
             wf.setReg(in.dst, req.result);
             ++wf.pc;
-            wf.state = WfState::Ready;
+            setWfState(wf, WfState::Ready);
         } else {
             // Keep pc at the waiting atomic: Mesa semantics, the
             // instruction re-executes when the WG resumes.
-            wf.state = WfState::Ready;
+            setWfState(wf, WfState::Ready);
             applyWaitDecision(wf, req.addr, waitExpectedOf(req),
                               req.decision);
         }
@@ -560,13 +591,13 @@ ComputeUnit::memResponse(Wavefront &wf, const mem::MemRequest &req)
       }
       case mem::MemOp::ArmWait:
         // pc already advanced at issue.
-        wf.state = WfState::Ready;
+        setWfState(wf, WfState::Ready);
         applyWaitDecision(wf, req.addr, req.expected, req.decision);
         break;
     }
 
     wf.wg->refreshRunBucket(curTick());
-    if (wf.state == WfState::Ready)
+    if (wf.state() == WfState::Ready)
         notifyReady();
     checkDrained(wf.wg);
 }
@@ -581,11 +612,11 @@ ComputeUnit::applyWaitDecision(Wavefront &wf, mem::Addr addr,
       case mem::WaitKind::Proceed:
       case mem::WaitKind::Retry:
         // Busy retry (Monitor Log full / no controller installed).
-        wf.state = WfState::Ready;
+        setWfState(wf, WfState::Ready);
         return;
       case mem::WaitKind::Stall: {
         ++numStalls;
-        wf.state = WfState::WaitSync;
+        setWfState(wf, WfState::WaitSync);
         wg->beginWait(curTick());
         wg->hasWaitCond = true;
         wg->waitAddr = addr;
@@ -600,7 +631,7 @@ ComputeUnit::applyWaitDecision(Wavefront &wf, mem::Addr addr,
       }
       case mem::WaitKind::Switch: {
         ++numStalls;
-        wf.state = WfState::WaitSync;
+        setWfState(wf, WfState::WaitSync);
         wg->beginWait(curTick());
         wg->hasWaitCond = true;
         wg->waitAddr = addr;
@@ -627,8 +658,8 @@ ComputeUnit::scheduleWake(Wavefront &wf, sim::Cycles cycles)
     eventq().schedule(clockEdge(cycles), [this, wfp, epoch] {
         if (wfp->waitEpoch != epoch)
             return;  // woken by another path (drain, resume)
-        if (wfp->state != WfState::Busy &&
-            wfp->state != WfState::Sleeping) {
+        if (wfp->state() != WfState::Busy &&
+            wfp->state() != WfState::Sleeping) {
             return;
         }
         wakeWf(*wfp);
@@ -645,7 +676,7 @@ ComputeUnit::scheduleRescue(Wavefront &wf, mem::Addr addr,
     eventq().schedule(clockEdge(cycles),
                       [this, wfp, epoch, addr, expected] {
         if (wfp->waitEpoch != epoch ||
-            wfp->state != WfState::WaitSync) {
+            wfp->state() != WfState::WaitSync) {
             return;  // resumed in the meantime
         }
         if (wfp->wg->cuId != static_cast<int>(id) ||

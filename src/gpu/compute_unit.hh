@@ -7,6 +7,8 @@
  * (the fairness GPUs provide for intra-WG forward progress). The CU is
  * event-driven: it only ticks while at least one wavefront can issue,
  * so stalled/sleeping/waiting configurations consume no host time.
+ * Each SIMD keeps a bit mask of its Ready wavefronts, so picking one
+ * and testing whether any can issue walk set bits, not every slot.
  *
  * The CU also implements the waiting-state machine of the paper:
  * failed waiting atomics and armed wait-instructions put wavefronts
@@ -18,6 +20,7 @@
 #ifndef IFP_GPU_COMPUTE_UNIT_HH
 #define IFP_GPU_COMPUTE_UNIT_HH
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -120,7 +123,25 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
 
     void tick();
     bool anyIssuable() const;
-    bool issuable(const Wavefront &wf) const;
+    /**
+     * Write up to @p max indices of SIMD @p s's issuable wavefronts
+     * (Ready, WG Running) to @p out in round-robin order from
+     * rrIndex[s]. @return how many were written.
+     */
+    unsigned issueCandidates(unsigned s, unsigned *out,
+                             unsigned max) const;
+    /**
+     * Let the oracle choose among SIMD @p s's issuable wavefronts.
+     * @return false when there is none; else @p idx is the choice.
+     */
+    bool oraclePick(unsigned s, unsigned &idx) const;
+    /**
+     * The one writer of Wavefront state: keeps the SIMD's readyMask
+     * in step. @p wf must be resident here.
+     */
+    void setWfState(Wavefront &wf, WfState next);
+    /** Number simdWfs[s] in list order and rebuild readyMask[s]. */
+    void rebuildSimd(unsigned s);
     void executeInstr(Wavefront &wf);
     void issueMemRequest(Wavefront &wf, const isa::Instr &in);
     void memResponse(Wavefront &wf, const mem::MemRequest &req);
@@ -145,6 +166,8 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     sim::SchedOracle *oracle = nullptr;
 
     std::vector<std::vector<Wavefront *>> simdWfs;
+    /** Bit i of readyMask[s] set iff simdWfs[s][i] is Ready. */
+    std::vector<std::uint64_t> readyMask;
     std::vector<unsigned> rrIndex;
     std::vector<WorkGroup *> resident;
     unsigned ldsUsed = 0;

@@ -14,6 +14,12 @@
 
 namespace ifp::gpu {
 
+/**
+ * Most wavefronts one SIMD can hold: the width of the CU's per-SIMD
+ * ready mask. GpuSystem rejects a wavefrontsPerSimd above it.
+ */
+constexpr unsigned maxWavefrontsPerSimd = 64;
+
 /** Per-CU and system-wide GPU parameters (Table 1). */
 struct GpuConfig
 {

@@ -3,8 +3,8 @@
  * Wavefront state: registers, program counter and scheduling status.
  *
  * Execution semantics live in ComputeUnit::executeInstr; the Wavefront
- * is a passive state container plus the small state machine that the
- * CU, the memory system callbacks and the resume paths drive.
+ * is a passive state container plus the small state machine that its
+ * CU drives (memory responses and resumes arrive through the CU too).
  */
 
 #ifndef IFP_GPU_WAVEFRONT_HH
@@ -18,6 +18,7 @@
 
 namespace ifp::gpu {
 
+class ComputeUnit;
 class WorkGroup;
 
 /** Scheduling status of one wavefront. */
@@ -42,7 +43,6 @@ class Wavefront
     /// @{
     WorkGroup *wg;
     unsigned idInWg;
-    unsigned simdSlot = 0;   //!< SIMD index within the CU when resident
     /// @}
 
     /// @name Architectural state
@@ -53,7 +53,8 @@ class Wavefront
 
     /// @name Scheduling state
     /// @{
-    WfState state = WfState::Ready;
+    /** Written only by the hosting ComputeUnit (setWfState). */
+    WfState state() const { return _state; }
     /**
      * Bumped on every transition out of a waiting state; wake/rescue
      * events capture the epoch and become no-ops when stale.
@@ -83,6 +84,15 @@ class Wavefront
     {
         regs[r] = value;
     }
+
+  private:
+    // The CU keeps a per-SIMD mask of Ready wavefronts, indexed by
+    // list position, in step with _state; only it writes these.
+    friend class ComputeUnit;
+
+    WfState _state = WfState::Ready;
+    unsigned simdSlot = 0;   //!< SIMD index within the CU when resident
+    unsigned simdPos = 0;    //!< position in that SIMD's list
 };
 
 } // namespace ifp::gpu

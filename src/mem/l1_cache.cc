@@ -1,5 +1,7 @@
 #include "mem/l1_cache.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace ifp::mem {
@@ -78,10 +80,16 @@ L1Cache::handleRead(const MemRequestPtr &req)
 
     ++misses;
     Addr line_addr = tags.lineOf(req->addr);
-    auto [it, first] = mshrs.try_emplace(line_addr);
-    it->second.push_back(req);
-    if (!first)
+    if (Mshr *pending = findMshr(line_addr)) {
+        pending->waiting.push_back(req);
         return;  // fill already outstanding
+    }
+    auto slot = std::find_if(mshrs.begin(), mshrs.end(), [](const Mshr &m) {
+        return m.waiting.empty();
+    });
+    Mshr &mshr = slot != mshrs.end() ? *slot : mshrs.emplace_back();
+    mshr.lineAddr = line_addr;
+    mshr.waiting.push_back(req);
 
     MemRequestPtr fill = pool.allocate();
     fill->op = MemOp::Read;
@@ -105,15 +113,23 @@ L1Cache::handleFill(Addr line_addr)
     CacheTags::Victim victim = tags.insert(line_addr);
     (void)victim;  // clean write-through lines need no writeback
 
-    auto it = mshrs.find(line_addr);
-    ifp_assert(it != mshrs.end(), "fill with no MSHR");
-    std::vector<MemRequestPtr> waiting = std::move(it->second);
-    mshrs.erase(it);
-
-    for (const MemRequestPtr &req : waiting) {
+    Mshr *mshr = findMshr(line_addr);
+    ifp_assert(mshr != nullptr, "fill with no MSHR");
+    for (const MemRequestPtr &req : mshr->waiting) {
         eventq().schedule(clockEdge(config.hitLatency),
                           [req] { req->respond(); }, "l1.fill");
     }
+    mshr->waiting.clear();
+}
+
+L1Cache::Mshr *
+L1Cache::findMshr(Addr line_addr)
+{
+    for (Mshr &m : mshrs) {
+        if (!m.waiting.empty() && m.lineAddr == line_addr)
+            return &m;
+    }
+    return nullptr;
 }
 
 } // namespace ifp::mem

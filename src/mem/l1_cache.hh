@@ -14,7 +14,6 @@
 #ifndef IFP_MEM_L1_CACHE_HH
 #define IFP_MEM_L1_CACHE_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache_tags.hh"
@@ -57,8 +56,23 @@ class L1Cache : public sim::Clocked, public MemDevice,
     const sim::StatGroup &stats() const { return statGroup; }
 
   private:
+    /**
+     * One outstanding line fill and the reads merged into it, in
+     * arrival order (MSHR-style merging); a slot with no reads is
+     * free. A slot is reused once its fill returns and keeps its
+     * vector's capacity, so steady-state misses allocate nothing.
+     */
+    struct Mshr
+    {
+        Addr lineAddr = 0;
+        std::vector<MemRequestPtr> waiting;
+    };
+
     void handleRead(const MemRequestPtr &req);
     void handleFill(Addr line_addr);
+
+    /** The MSHR with reads waiting on @p line_addr, or nullptr. */
+    Mshr *findMshr(Addr line_addr);
 
     /**
      * Chained into acquire responses: flushes the L1 before the
@@ -83,8 +97,8 @@ class L1Cache : public sim::Clocked, public MemDevice,
     MemRequestPool &pool;
     AcquireHook acquireHook{*this};
 
-    /** Reads outstanding per missing line (MSHR-style merging). */
-    std::unordered_map<Addr, std::vector<MemRequestPtr>> mshrs;
+    /** Busy and free slots; as many as fills were ever in flight. */
+    std::vector<Mshr> mshrs;
 
     sim::StatGroup statGroup;
     sim::Scalar &hits;

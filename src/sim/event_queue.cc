@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace ifp::sim {
@@ -31,12 +33,47 @@ EventQueue::~EventQueue()
     clear();  // so no event dies scheduled, owned or external
 }
 
+inline const EventQueue::HeapEntry *
+EventQueue::front(int &source) const
+{
+    const HeapEntry *min = nullptr;
+    if (!heap.empty()) {
+        min = &heap.top();
+        source = heapSource;
+    }
+    for (unsigned mask = laneMask; mask != 0; mask &= mask - 1) {
+        const unsigned lane = std::countr_zero(mask);
+        const HeapEntry &head = lanes[lane].front();
+        if (min == nullptr || *min > head) {
+            min = &head;
+            source = static_cast<int>(lane);
+        }
+    }
+    return min;
+}
+
+inline void
+EventQueue::popFront(int source)
+{
+    if (source == heapSource) {
+        heap.pop();
+        return;
+    }
+    RingQueue<HeapEntry> &lane = lanes[source];
+    lane.pop_front();
+    if (lane.empty())
+        laneMask &= ~(1u << source);
+}
+
 void
 EventQueue::clear()
 {
-    while (!heap.empty()) {
-        HeapEntry entry = heap.top();
-        heap.pop();
+    // Pop in front order, the order the events would have run, so
+    // one-shots park in that order whatever lane or heap held them.
+    int source = heapSource;
+    while (const HeapEntry *head = front(source)) {
+        const HeapEntry entry = *head;
+        popFront(source);
         Event *event = entry.event;
         if (!event->_scheduled || event->_sequence != entry.sequence)
             continue;  // stale entry: its event is no longer pending
@@ -70,7 +107,22 @@ EventQueue::schedule(Event *event, Tick when)
     event->_scheduled = true;
     event->_when = when;
     event->_sequence = nextSequence++;
-    heap.push(HeapEntry{when, event->_sequence, event});
+    const HeapEntry entry{when, event->_sequence, event};
+    // A lane holds one delay at a time; since curTick() never falls,
+    // appending an entry of the lane's delay keeps the lane sorted.
+    // An entry whose lane holds another delay takes the heap.
+    const Tick delay = when - _curTick;
+    const unsigned lane = laneOf(delay);
+    const unsigned bit = 1u << lane;
+    if ((laneMask & bit) == 0) {
+        laneDelay[lane] = delay;
+        laneMask |= bit;
+        lanes[lane].push_back(entry);
+    } else if (laneDelay[lane] == delay) {
+        lanes[lane].push_back(entry);
+    } else {
+        heap.push(entry);
+    }
     ++liveEvents;
 }
 
@@ -91,7 +143,7 @@ EventQueue::descheduleImpl(Event *event, bool recycleOwned)
     --liveEvents;
     if (event->_owned && recycleOwned) {
         // Squashed queue-owned one-shot: release its captures and
-        // recycle it now. The stale heap entry is harmless — reuse
+        // recycle it now. The stale lane or heap entry is harmless — reuse
         // assigns a strictly newer sequence number, so the pop loop
         // skips it — and never recycles (only this path, the
         // post-process path and clear() park events, each only a
@@ -116,7 +168,7 @@ EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 {
     // One-shots are recycled: a fired lambda is re-armed instead of
     // paying a fresh make_unique + std::function allocation. Stale
-    // heap entries for a recycled event are harmless because reuse
+    // entries for a recycled event are harmless because reuse
     // assigns a strictly newer sequence number.
     LambdaEvent *ev;
     if (!freeList.empty()) {
@@ -133,16 +185,21 @@ EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 }
 
 bool
-EventQueue::step()
+EventQueue::runNext(Tick limit)
 {
-    while (!heap.empty()) {
-        HeapEntry entry = heap.top();
-        heap.pop();
+    int source = heapSource;
+    while (const HeapEntry *head = front(source)) {
+        const HeapEntry entry = *head;
         Event *event = entry.event;
         // Stale entry: event was descheduled (and possibly rescheduled
         // with a newer sequence number).
-        if (!event->_scheduled || event->_sequence != entry.sequence)
+        if (!event->_scheduled || event->_sequence != entry.sequence) {
+            popFront(source);
             continue;
+        }
+        if (entry.when > limit)
+            return false;
+        popFront(source);
 
         ifp_assert(entry.when >= _curTick, "time went backwards");
         _curTick = entry.when;
@@ -161,19 +218,16 @@ EventQueue::step()
     return false;
 }
 
+bool
+EventQueue::step()
+{
+    return runNext(maxTick);
+}
+
 Tick
 EventQueue::simulate(Tick limit)
 {
-    while (!heap.empty()) {
-        const HeapEntry &top = heap.top();
-        Event *event = top.event;
-        if (!event->_scheduled || event->_sequence != top.sequence) {
-            heap.pop();
-            continue;
-        }
-        if (top.when > limit)
-            break;
-        step();
+    while (runNext(limit)) {
     }
     return _curTick;
 }

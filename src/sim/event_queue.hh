@@ -2,9 +2,17 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The EventQueue keeps a min-heap of (tick, sequence, event) triples and
- * executes them in order. Events scheduled for the same tick run in the
- * order they were scheduled, which keeps the simulator deterministic.
+ * The EventQueue executes (tick, sequence, event) triples in order.
+ * Events scheduled for the same tick run in the order they were
+ * scheduled, which keeps the simulator deterministic. Most schedules
+ * repeat a handful of delays (a CU tick one cycle ahead, a fixed cache
+ * latency), so a few FIFO lanes sit in front of a binary min-heap:
+ * an entry joins the lane of its delay (when - curTick()) if that lane
+ * is empty or already holds that delay, and the heap otherwise. As
+ * curTick() never decreases, entries sharing a delay arrive sorted by
+ * (tick, sequence), so every lane is sorted by construction and the
+ * queue runs the least front among the lanes and the heap: the same
+ * order a single heap gives, at a ring push and pop per lane entry.
  *
  * Two event flavours are provided:
  *  - Event: subclass and override process().
@@ -26,12 +34,14 @@
 #ifndef IFP_SIM_EVENT_QUEUE_HH
 #define IFP_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
 
+#include "sim/ring_queue.hh"
 #include "sim/small_func.hh"
 #include "sim/types.hh"
 
@@ -143,8 +153,11 @@ class EventQueue
      */
     void clear();
 
-    /** True when no events remain. */
-    bool empty() const { return heap.empty(); }
+    /**
+     * True when no entries remain, counting the stale entries of
+     * descheduled events that have not reached the front yet.
+     */
+    bool empty() const { return heap.empty() && laneMask == 0; }
 
     /** Number of pending events. */
     std::size_t size() const { return liveEvents; }
@@ -177,11 +190,18 @@ class EventQueue
     /** Drop a queue-owned one-shot's captures; free-list it. */
     void park(Event *event);
 
+    /**
+     * Pop entries in (when, sequence) order, skipping stale ones, and
+     * run the first live one if it is due at or before @p limit.
+     * @return true if an event ran. step() and simulate() share it.
+     */
+    bool runNext(Tick limit);
+
     struct HeapEntry
     {
-        Tick when;
-        std::uint64_t sequence;
-        Event *event;
+        Tick when = 0;
+        std::uint64_t sequence = 0;
+        Event *event = nullptr;
 
         bool
         operator>(const HeapEntry &other) const
@@ -194,7 +214,42 @@ class EventQueue
     using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                                      std::greater<HeapEntry>>;
 
+    /** FIFO lanes in front of the heap. */
+    static constexpr unsigned numLanes = 8;
+    /** front()'s source for the heap; lanes are 0 .. numLanes-1. */
+    static constexpr int heapSource = numLanes;
+
+    /**
+     * Direct-mapped lane of @p delay: the top bits of a multiplicative
+     * hash, so delays that are all multiples of a clock period still
+     * spread. The multiplier (splitmix64's) puts the default machine's
+     * common delays of 1, 4, 50 and 146 GPU cycles in four different
+     * lanes; the golden-ratio one maps 1 and 4 cycles to one lane.
+     */
+    static unsigned
+    laneOf(Tick delay)
+    {
+        return static_cast<unsigned>(
+            (delay * 0xBF58476D1CE4E5B9ULL) >> (64 - 3));
+    }
+    static_assert(numLanes == 8, "laneOf() takes the top 3 bits");
+
+    /**
+     * The least (when, sequence) entry among the lane fronts and the
+     * heap top, or nullptr when the queue holds none; @p source is
+     * set to where it sits, a lane index or heapSource.
+     */
+    const HeapEntry *front(int &source) const;
+
+    /** Remove the front entry of @p source. */
+    void popFront(int source);
+
     Heap heap;
+    std::array<RingQueue<HeapEntry>, numLanes> lanes;
+    /** The delay lanes[i] holds; meaningful while the lane is busy. */
+    std::array<Tick, numLanes> laneDelay{};
+    /** Bit i set iff lanes[i] holds at least one entry. */
+    unsigned laneMask = 0;
     /** Owns every one-shot this queue ever allocated (pool + live). */
     std::vector<std::unique_ptr<LambdaEvent>> owned;
     /** Fired one-shots ready for the next schedule(Tick, fn). */

@@ -5,33 +5,40 @@
  * leak into the main test suite).
  *
  * The pooled-request overhaul promises that the warmed-up
- * CU-facing round trip — L1 hit, L1-bypassed atomic at the L2, an
- * acquire atomic whose response flash-invalidates the L1, and the
- * event-queue one-shots that carry them — touches the heap not at
- * all: requests come from the MemRequestPool, completions go through
- * typed responders, events recycle through the queue's free-list,
- * device queues are RingQueues, and an event description is a string
- * literal, so re-arming a one-shot copies a pointer, not a string.
- * These tests pin that property exactly, so any future change that
- * sneaks a per-request allocation back in fails here instead of
- * showing up as a slow bench three PRs later.
+ * CU-facing round trip — L1 hit, L1 miss merged in an MSHR,
+ * L1-bypassed atomic at the L2, an acquire atomic whose response
+ * flash-invalidates the L1, and the event-queue one-shots that carry
+ * them — touches the heap not at all: requests come from the
+ * MemRequestPool, completions go through typed responders, events
+ * recycle through the queue's free-list, device queues and the
+ * queue's lanes are RingQueues, MSHR slots are reused, and an event
+ * description is a string literal, so re-arming a one-shot copies a
+ * pointer, not a string. The CU's issue loop, the schedule-oracle
+ * path included, is held to the same rule. These tests pin that
+ * property exactly, so any future change that sneaks a per-request
+ * allocation back in fails here instead of showing up as a slow bench
+ * three PRs later.
  *
- * Cold paths (first touch of a line, MSHR creation, pool/slab growth)
- * are warm-up by definition and excluded by design.
+ * Cold paths (first touch of a line, a new MSHR slot, pool/slab
+ * growth) are warm-up by definition and excluded by design.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "core/gpu_system.hh"
+#include "isa/builder.hh"
 #include "mem/backing_store.hh"
 #include "mem/dram.hh"
 #include "mem/l1_cache.hh"
 #include "mem/l2_cache.hh"
 #include "sim/event_queue.hh"
+#include "sim/sched_oracle.hh"
 
 namespace {
 
@@ -127,10 +134,23 @@ struct MemPath : mem::MemResponder
 
     std::uint64_t completed = 0;
 
+    /// @name Merge order of acquireRound()'s reads
+    /// @{
+    static constexpr mem::Addr missBase = 0x8000;
+    /** Per line: offset + 1 of the last read answered, 0 for none. */
+    std::array<mem::Addr, 8> lastAnswered{};
+    bool readsInOrder = true;
+    /// @}
+
     void
-    onMemResponse(mem::MemRequest &, std::uint64_t) override
+    onMemResponse(mem::MemRequest &req, std::uint64_t) override
     {
         ++completed;
+        if (req.op == mem::MemOp::Read && req.addr >= missBase) {
+            mem::Addr &last = lastAnswered[(req.addr - missBase) / 64];
+            readsInOrder = readsInOrder && req.addr % 64 + 1 > last;
+            last = req.addr % 64 + 1;
+        }
     }
 
     void
@@ -168,16 +188,21 @@ struct MemPath : mem::MemResponder
     }
 
     /**
-     * Acquire atomics only: each response runs the L1's AcquireHook,
-     * which flash-invalidates the tags. No reads here — a flash turns
-     * the next read into an L1 miss, and a miss creates an MSHR entry,
-     * which allocates by design.
+     * Acquire atomics, each of whose responses runs the L1's
+     * AcquireHook (a flash of the tags), then reads of 8 flashed
+     * lines: every read misses, and the 8 reads of a line merge into
+     * its MSHR and are answered in the order they arrived (rising
+     * offsets within the line).
      */
     void
     acquireRound()
     {
         for (int i = 0; i < 64; ++i)
             issueAtomic(0x2000 + i * 64, /*acquire=*/true);
+        eq.simulate();
+        lastAnswered.fill(0);
+        for (int i = 0; i < 64; ++i)
+            issueRead(missBase + (i % 8) * 64 + (i / 8) * 8);
         eq.simulate();
     }
 };
@@ -211,6 +236,7 @@ TEST(AllocGate, WarmAcquireFlashesAllocateNothing)
     const std::uint64_t warm_completed = path.completed;
     const double warm_flashes =
         path.l1.stats().scalar("invalidations").value();
+    const double warm_misses = path.l1.stats().scalar("misses").value();
 
     const std::uint64_t before = allocCount();
     for (int i = 0; i < 10; ++i)
@@ -218,10 +244,15 @@ TEST(AllocGate, WarmAcquireFlashesAllocateNothing)
     const std::uint64_t after = allocCount();
 
     EXPECT_EQ(after - before, 0u)
-        << "the warmed acquire atomic + L1 flash touched the heap";
-    EXPECT_EQ(path.completed, warm_completed + 10 * 64);
+        << "the warmed acquire atomic + L1 flash + MSHR-merged read "
+           "miss touched the heap";
+    EXPECT_EQ(path.completed, warm_completed + 10 * 128);
     EXPECT_EQ(path.l1.stats().scalar("invalidations").value(),
               warm_flashes + 10 * 64);
+    EXPECT_EQ(path.l1.stats().scalar("misses").value(),
+              warm_misses + 10 * 64);
+    EXPECT_TRUE(path.readsInOrder)
+        << "merged reads were not answered in arrival order";
 }
 
 TEST(AllocGate, RequestLifecycleAllocatesNothingAfterWarmup)
@@ -285,6 +316,64 @@ TEST(AllocGate, SquashedOneShotsRecycleWithoutTheHeap)
     EXPECT_EQ(after - before, 0u)
         << "squash/recycle of owned one-shots touched the heap";
     EXPECT_EQ(fired, 1001);
+}
+
+/** Rotates through the candidates, so every issue asks the oracle. */
+struct RotatingOracle : sim::SchedOracle
+{
+    unsigned
+    choose(sim::ChoicePoint, unsigned n, unsigned) override
+    {
+        return static_cast<unsigned>(calls++ % n);
+    }
+
+    std::uint64_t calls = 0;
+};
+
+TEST(AllocGate, WarmCuIssueUnderAnOracleAllocatesNothing)
+{
+    // explore's configuration: a 1-CU machine whose SIMD arbitration
+    // goes through a SchedOracle. Two WGs of four wavefronts put four
+    // on each SIMD, all spinning on an L1-hit load, an ALU op and a
+    // countdown, so most issues choose among several candidates.
+    RotatingOracle oracle;
+    core::RunConfig cfg;
+    cfg.gpu.numCus = 1;
+    cfg.schedOracle = &oracle;
+    core::GpuSystem sys(cfg);
+    const mem::Addr flag = sys.allocate(64);
+
+    isa::KernelBuilder b;
+    b.movi(16, 1'000'000);
+    isa::Label loop = b.here();
+    b.ld(17, isa::rArg0);
+    b.valu(2);
+    b.subi(16, 16, 1);
+    b.bnz(16, loop);
+    b.halt();
+    isa::Kernel kernel;
+    kernel.name = "spin";
+    kernel.code = b.build();
+    kernel.numWgs = 2;
+    kernel.wiPerWg = 256;
+    kernel.ldsBytes = 1024;
+    kernel.maxWgsPerCu = 8;
+    kernel.args = {static_cast<mem::MemValue>(flag)};
+    sys.enqueueKernel(kernel);
+
+    sim::EventQueue &eq = sys.eventq();
+    for (int i = 0; i < 20'000; ++i)
+        ASSERT_TRUE(eq.step());
+    const std::uint64_t warm_calls = oracle.calls;
+
+    const std::uint64_t before = allocCount();
+    for (int i = 0; i < 50'000; ++i)
+        eq.step();
+    const std::uint64_t after = allocCount();
+
+    EXPECT_EQ(after - before, 0u)
+        << "the warmed CU issue loop under an oracle touched the heap";
+    EXPECT_GT(oracle.calls, warm_calls + 1000);
 }
 
 } // anonymous namespace

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace ifp::sim {
 namespace {
@@ -426,6 +431,197 @@ TEST(EventQueueClear, QueueStaysUsable)
     EXPECT_TRUE(eq.empty());
     eq.clear();  // clearing an empty queue is a no-op
     EXPECT_EQ(eq.size(), 0u);
+}
+
+// ---------------------------------------------------------------
+// Exactness of the FIFO lanes: a randomized differential test
+// ---------------------------------------------------------------
+
+/** One executed event: (tick, test-assigned id). */
+using Fired = std::pair<Tick, int>;
+
+/**
+ * The single sorted structure the lanes must match: every entry,
+ * stale ones included, ordered by (when, sequence). Members re-arm
+ * themselves on firing as the real ones do.
+ */
+struct ReferenceQueue
+{
+    std::set<std::tuple<Tick, std::uint64_t, int>> entries;
+    std::map<int, std::uint64_t> live;  //!< id -> pending sequence
+    std::map<int, std::pair<Tick, int>> rearm;  //!< member: delay, left
+    Tick now = 0;
+    std::uint64_t nextSequence = 0;
+    std::uint64_t executed = 0;
+
+    void
+    schedule(int id, Tick when)
+    {
+        entries.insert({when, nextSequence, id});
+        live[id] = nextSequence++;
+    }
+
+    /** Run what is due by @p limit; with @p one, one live event. */
+    void
+    simulate(Tick limit, std::vector<Fired> &log, bool one = false)
+    {
+        while (!entries.empty()) {
+            auto [when, seq, id] = *entries.begin();
+            auto it = live.find(id);
+            if (it == live.end() || it->second != seq) {
+                entries.erase(entries.begin());  // stale
+                continue;
+            }
+            if (when > limit)
+                return;
+            entries.erase(entries.begin());
+            live.erase(it);
+            now = when;
+            ++executed;
+            log.push_back({when, id});
+            auto member = rearm.find(id);
+            if (member != rearm.end() && member->second.second > 0) {
+                --member->second.second;
+                schedule(id, now + member->second.first);
+            }
+            if (one)
+                return;
+        }
+    }
+};
+
+/** A member event that re-arms itself a set number of times. */
+class RearmingMember : public Event
+{
+  public:
+    RearmingMember(EventQueue &eq, std::vector<Fired> &log, int id)
+        : eq(eq), log(log), id(id)
+    {}
+
+    void
+    process() override
+    {
+        log.push_back({eq.curTick(), id});
+        if (left > 0) {
+            --left;
+            eq.schedule(this, eq.curTick() + delay);
+        }
+    }
+
+    Tick delay = 0;
+    int left = 0;
+
+  private:
+    EventQueue &eq;
+    std::vector<Fired> &log;
+    int id;
+};
+
+void
+runLaneDifferential(std::uint64_t seed)
+{
+    // Fourteen distinct delays for eight lanes: lanes collide, retag
+    // once they drain, and overflow to the heap.
+    const Tick delays[] = {0, 1, 2, 3, 5, 7, 8, 13, 64, 100, 500, 2000,
+                           25'000, 73'000};
+    constexpr int numMembers = 12;
+    Rng rng(seed);
+    std::vector<Fired> log, ref_log;
+    // Declared before the queue, so a failed assertion's early return
+    // clears the queue before any member dies.
+    std::vector<std::unique_ptr<RearmingMember>> members;
+    EventQueue eq;
+    ReferenceQueue ref;
+    for (int i = 0; i < numMembers; ++i)
+        members.push_back(std::make_unique<RearmingMember>(eq, log, i));
+    std::map<int, Event *> one_shots;  // pending id -> handle
+    int next_one_shot = numMembers;
+
+    auto pick_delay = [&] {
+        return delays[rng.uniform(std::size(delays))];
+    };
+    // A pending event, member or one-shot, chosen uniformly.
+    auto pick_pending = [&]() -> std::pair<int, Event *> {
+        if (ref.live.empty())
+            return {-1, nullptr};
+        auto it = ref.live.begin();
+        std::advance(it, rng.uniform(ref.live.size()));
+        const int id = it->first;
+        return {id, id < numMembers ? members[id].get() : one_shots[id]};
+    };
+
+    for (int op = 0; op < 20'000; ++op) {
+        const std::uint64_t roll = rng.uniform(100);
+        if (roll < 35) {
+            const int id = next_one_shot++;
+            const Tick when = eq.curTick() + pick_delay();
+            one_shots[id] = eq.schedule(when, [&log, &eq, id] {
+                log.push_back({eq.curTick(), id});
+            });
+            ref.schedule(id, when);
+        } else if (roll < 55) {
+            const int id = static_cast<int>(rng.uniform(numMembers));
+            if (members[id]->scheduled())
+                continue;
+            members[id]->delay = pick_delay();
+            members[id]->left = static_cast<int>(rng.uniform(4));
+            ref.rearm[id] = {members[id]->delay, members[id]->left};
+            const Tick when = eq.curTick() + pick_delay();
+            eq.schedule(members[id].get(), when);
+            ref.schedule(id, when);
+        } else if (roll < 65) {
+            auto [id, ev] = pick_pending();
+            if (!ev)
+                continue;
+            eq.deschedule(ev);
+            ref.live.erase(id);
+        } else if (roll < 75) {
+            auto [id, ev] = pick_pending();
+            if (!ev)
+                continue;
+            const Tick when = eq.curTick() + pick_delay();
+            eq.reschedule(ev, when);
+            ref.schedule(id, when);
+        } else if (roll < 96) {
+            const Tick limit = eq.curTick() + rng.uniform(3000);
+            eq.simulate(limit);
+            ref.simulate(limit, ref_log);
+        } else if (roll < 99) {
+            EXPECT_EQ(eq.step(), !ref.live.empty());
+            ref.simulate(maxTick, ref_log, /*one=*/true);
+        } else {
+            eq.clear();
+            ref.entries.clear();
+            ref.live.clear();
+        }
+        // Fired one-shots and squashed handles are gone for good.
+        std::erase_if(one_shots, [&](const auto &entry) {
+            return !ref.live.contains(entry.first);
+        });
+
+        ASSERT_EQ(log, ref_log) << "seed " << seed << ", op " << op;
+        log.clear();
+        ref_log.clear();
+        ASSERT_EQ(eq.curTick(), ref.now) << "op " << op;
+        ASSERT_EQ(eq.size(), ref.live.size()) << "op " << op;
+        ASSERT_EQ(eq.empty(), ref.entries.empty()) << "op " << op;
+        ASSERT_EQ(eq.numExecuted(), ref.executed) << "op " << op;
+    }
+    eq.simulate();
+    ref.simulate(maxTick, ref_log);
+    EXPECT_EQ(log, ref_log);
+    EXPECT_TRUE(eq.empty());
+    // Every one-shot object is parked again, none lost or doubled.
+    EXPECT_EQ(eq.freeListSize(), eq.ownedPoolSize());
+}
+
+TEST(EventQueueLanes, MatchesASortedReferenceUnderRandomOperations)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        runLaneDifferential(seed);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 } // anonymous namespace

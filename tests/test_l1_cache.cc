@@ -39,9 +39,10 @@ struct L1Fixture : public ::testing::Test, public MemResponder
     {}
 
     void
-    onMemResponse(MemRequest &, std::uint64_t) override
+    onMemResponse(MemRequest &req, std::uint64_t) override
     {
         completions.push_back(eq.curTick());
+        answered.push_back(req.addr);
     }
 
     MemRequestPtr
@@ -60,6 +61,7 @@ struct L1Fixture : public ::testing::Test, public MemResponder
     StubLevel stub;
     L1Cache l1;
     std::vector<sim::Tick> completions;
+    std::vector<Addr> answered;
 };
 
 TEST_F(L1Fixture, ColdReadMissesAndFills)
@@ -102,6 +104,25 @@ TEST_F(L1Fixture, MshrMergesConcurrentMisses)
     eq.simulate();
     EXPECT_EQ(completions.size(), 3u);
     EXPECT_EQ(stub.accesses.size(), 1u);  // one fill for all three
+}
+
+TEST_F(L1Fixture, MshrAnswersMergedReadsInArrivalOrder)
+{
+    // Two lines missing at once, their reads interleaved.
+    for (Addr addr : {0x2000, 0x4000, 0x2010, 0x4010, 0x2020})
+        l1.access(makeReq(MemOp::Read, addr));
+    eq.simulate();
+    EXPECT_EQ(answered,
+              (std::vector<Addr>{0x2000, 0x2010, 0x2020, 0x4000, 0x4010}));
+    EXPECT_EQ(stub.accesses.size(), 2u);
+
+    // The freed MSHRs serve the next misses just the same.
+    answered.clear();
+    for (Addr addr : {0x6008, 0x6000, 0x6010})
+        l1.access(makeReq(MemOp::Read, addr));
+    eq.simulate();
+    EXPECT_EQ(answered, (std::vector<Addr>{0x6008, 0x6000, 0x6010}));
+    EXPECT_EQ(stub.accesses.size(), 3u);
 }
 
 TEST_F(L1Fixture, WritesAreWriteThrough)

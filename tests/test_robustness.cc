@@ -141,6 +141,31 @@ TEST(ScenarioValidation, RejectsOutOfRangePlanChurnTarget)
     EXPECT_NO_THROW(core::GpuSystem ok(cfg));
 }
 
+TEST(ScenarioValidation, RejectsAGeometryTheReadyMaskCannotHold)
+{
+    // The CU keeps one 64-bit ready mask per SIMD.
+    auto error_of = [](const core::RunConfig &cfg) -> std::string {
+        try {
+            core::GpuSystem sys(cfg);
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        }
+        return "";
+    };
+    core::RunConfig cfg = test::testRunConfig();
+    for (unsigned wfs : {0u, 65u}) {
+        cfg.gpu.wavefrontsPerSimd = wfs;
+        EXPECT_NE(error_of(cfg).find("wavefrontsPerSimd"),
+                  std::string::npos) << wfs;
+    }
+    cfg.gpu.wavefrontsPerSimd = 64;
+    EXPECT_EQ(error_of(cfg), "");
+
+    cfg.gpu.wavefrontsPerSimd = 20;
+    cfg.gpu.simdsPerCu = 0;
+    EXPECT_NE(error_of(cfg).find("simdsPerCu"), std::string::npos);
+}
+
 // ---------------------------------------------------------------
 // Liveness verdicts
 // ---------------------------------------------------------------
