@@ -3,8 +3,13 @@
  * Figure 15: the oversubscribed scenario — one CU's resident WGs are
  * pre-empted mid-run and the kernel must finish on 7 CUs. Speedups
  * are normalized to Timeout (the simplest policy that survives).
- * Baseline and Sleep DEADLOCK on every benchmark: current GPUs have
- * no WG-granularity swap-in, so the pre-empted WGs are stranded.
+ * Baseline and Sleep stall on every benchmark, and the table prints
+ * DEADLOCK for any stall: current GPUs have no WG-granularity
+ * swap-in, so the pre-empted WGs are stranded. The liveness oracle
+ * calls all 12 Baseline stalls DEADLOCK; Sleep's backoff counts as
+ * retry activity, and its stalls read LIVELOCK on 10 benchmarks and
+ * DEADLOCK on SPM_L and SPMBO_L (tests/test_oversubscription.cc,
+ * FigFifteenVerdicts, pins each cell).
  * Paper: AWG ~2.5x over Timeout (geomean), with some tree barriers
  * being AWG's weakest cases due to stall-time prediction.
  */

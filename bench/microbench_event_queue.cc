@@ -3,7 +3,8 @@
  * Microbenchmarks of the EventQueue hot path: one-shot lambda
  * scheduling (the queue's free-list recycling vs the legacy
  * allocate-per-schedule pattern), raw schedule/step on external
- * events, deschedule/reschedule churn, and fig14's mix of delays.
+ * events, deschedule/reschedule churn, and fig14's mix of delays with
+ * and without delays beyond the queue's timing wheel.
  * These quantify the events/sec the simulator core sustains — the
  * figure every sweep's runtime is built on.
  */
@@ -88,7 +89,7 @@ BM_ScheduleStep(benchmark::State &state)
 }
 BENCHMARK(BM_ScheduleStep);
 
-/** Schedule/deschedule churn: stale heap entries must stay cheap. */
+/** Schedule/deschedule churn: the cancel path of every squash. */
 void
 BM_ScheduleDeschedule(benchmark::State &state)
 {
@@ -98,7 +99,8 @@ BM_ScheduleDeschedule(benchmark::State &state)
     for (auto _ : state) {
         eq.schedule(&ev, eq.curTick() + 1);
         eq.deschedule(&ev);
-        // Drain accumulated stale entries so the heap stays bounded.
+        // A no-op on today's queue, kept so that numbers taken before
+        // it (when this drained stale heap entries) time the same loop.
         if ((++n & 1023u) == 0)
             eq.simulate();
     }
@@ -127,13 +129,15 @@ BENCHMARK(BM_Reschedule);
 /**
  * A CU tick: re-armed one GPU cycle ahead each time it fires, and
  * every so often issuing a one-shot at +4 cycles (an L1 bypass) or
- * +50 cycles (an L2 round trip).
+ * +50 cycles (an L2 round trip). With @p far, it also issues
+ * sleep-like one-shots at +1,024 cycles and timeout-like ones at
+ * +20,000 cycles, past the queue's 262-cycle wheel.
  */
 class TickLike : public sim::Event
 {
   public:
-    TickLike(sim::EventQueue &eq, std::uint64_t &sink)
-        : eq(eq), sink(sink)
+    TickLike(sim::EventQueue &eq, std::uint64_t &sink, bool far)
+        : eq(eq), sink(sink), far(far)
     {}
 
     void
@@ -147,13 +151,40 @@ class TickLike : public sim::Event
             eq.schedule(now + 4 * cycle, [this] { ++sink; });
         if (fired % 10 == 0)
             eq.schedule(now + 50 * cycle, [this] { ++sink; });
+        if (far && fired % 32 == 0)
+            eq.schedule(now + 1'024 * cycle, [this] { ++sink; });
+        if (far && fired % 256 == 0)
+            eq.schedule(now + 20'000 * cycle, [this] { ++sink; });
     }
 
   private:
     sim::EventQueue &eq;
     std::uint64_t &sink;
+    const bool far;
     std::uint64_t fired = 0;
 };
+
+/** Step six TickLike members in their steady state. */
+void
+runTickMix(benchmark::State &state, bool far)
+{
+    sim::EventQueue eq;
+    std::uint64_t sink = 0;
+    std::vector<std::unique_ptr<TickLike>> ticks;
+    for (int i = 0; i < 6; ++i) {
+        ticks.push_back(std::make_unique<TickLike>(eq, sink, far));
+        eq.schedule(ticks.back().get(), 500);
+    }
+    // Reach the steady state: past the longest delay when far.
+    for (int i = 0; i < (far ? 200'000 : 10'000); ++i)
+        eq.step();
+    for (auto _ : state)
+        eq.step();
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["pending"] = static_cast<double>(eq.size());
+    eq.clear();  // the ticks die scheduled otherwise
+}
 
 /**
  * fig14's event mix: six member events re-armed one cycle ahead plus
@@ -163,23 +194,21 @@ class TickLike : public sim::Event
 void
 BM_MixedDelays(benchmark::State &state)
 {
-    sim::EventQueue eq;
-    std::uint64_t sink = 0;
-    std::vector<std::unique_ptr<TickLike>> ticks;
-    for (int i = 0; i < 6; ++i) {
-        ticks.push_back(std::make_unique<TickLike>(eq, sink));
-        eq.schedule(ticks.back().get(), 500);
-    }
-    for (int i = 0; i < 10'000; ++i)  // reach the steady state
-        eq.step();
-    for (auto _ : state)
-        eq.step();
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations());
-    state.counters["pending"] = static_cast<double>(eq.size());
-    eq.clear();  // the ticks die scheduled otherwise
+    runTickMix(state, false);
 }
 BENCHMARK(BM_MixedDelays);
+
+/**
+ * The same mix plus sleep- and timeout-like delays beyond the wheel's
+ * span: a few hundred events wait in the far heap, and each reaches
+ * its bucket through a migration.
+ */
+void
+BM_FarDelays(benchmark::State &state)
+{
+    runTickMix(state, true);
+}
+BENCHMARK(BM_FarDelays);
 
 } // anonymous namespace
 

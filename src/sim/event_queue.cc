@@ -12,75 +12,23 @@ Event::~Event()
                "event '%s' destroyed while scheduled", description());
 }
 
-namespace {
-
-// Pre-sized heap storage: the evaluation geometry keeps hundreds of
-// events in flight, and growing through the first few powers of two
-// on every run is pure waste once sweeps construct one queue per run.
-constexpr std::size_t initialHeapCapacity = 1024;
-
-} // anonymous namespace
-
-EventQueue::EventQueue()
-{
-    std::vector<HeapEntry> storage;
-    storage.reserve(initialHeapCapacity);
-    heap = Heap(std::greater<HeapEntry>(), std::move(storage));
-}
-
-EventQueue::~EventQueue()
-{
-    clear();  // so no event dies scheduled, owned or external
-}
-
-inline const EventQueue::HeapEntry *
-EventQueue::front(int &source) const
-{
-    const HeapEntry *min = nullptr;
-    if (!heap.empty()) {
-        min = &heap.top();
-        source = heapSource;
-    }
-    for (unsigned mask = laneMask; mask != 0; mask &= mask - 1) {
-        const unsigned lane = std::countr_zero(mask);
-        const HeapEntry &head = lanes[lane].front();
-        if (min == nullptr || *min > head) {
-            min = &head;
-            source = static_cast<int>(lane);
-        }
-    }
-    return min;
-}
-
-inline void
-EventQueue::popFront(int source)
-{
-    if (source == heapSource) {
-        heap.pop();
-        return;
-    }
-    RingQueue<HeapEntry> &lane = lanes[source];
-    lane.pop_front();
-    if (lane.empty())
-        laneMask &= ~(1u << source);
-}
-
 void
 EventQueue::clear()
 {
-    // Pop in front order, the order the events would have run, so
-    // one-shots park in that order whatever lane or heap held them.
-    int source = heapSource;
-    while (const HeapEntry *head = front(source)) {
-        const HeapEntry entry = *head;
-        popFront(source);
-        Event *event = entry.event;
-        if (!event->_scheduled || event->_sequence != entry.sequence)
-            continue;  // stale entry: its event is no longer pending
+    auto drop = [this](Event *event) {
         event->_scheduled = false;
         if (event->_owned)
             park(event);
+    };
+    for (Bucket &bucket : buckets) {
+        for (Event *event = bucket.head; event; event = event->_next)
+            drop(event);
+        bucket = Bucket{};
     }
+    busy = {};
+    for (Event *event : far)
+        drop(event);
+    far.clear();
     liveEvents = 0;
 }
 
@@ -90,6 +38,81 @@ EventQueue::park(Event *event)
     auto *lam = static_cast<LambdaEvent *>(event);
     lam->release();
     freeList.push_back(lam);
+}
+
+void
+EventQueue::link(Event *event)
+{
+    const unsigned b = bucketOf(event->_when);
+    Bucket &bucket = buckets[b];
+    // The bucket is sorted by (when, sequence) and holds no newer
+    // sequence, so the event goes after everything due by its tick.
+    Event *prev = bucket.tail;
+    while (prev != nullptr && prev->_when > event->_when)
+        prev = prev->_prev;
+    Event *next = prev != nullptr ? prev->_next : bucket.head;
+    event->_prev = prev;
+    event->_next = next;
+    (prev != nullptr ? prev->_next : bucket.head) = event;
+    (next != nullptr ? next->_prev : bucket.tail) = event;
+    busy[b / 64] |= std::uint64_t{1} << (b % 64);
+}
+
+void
+EventQueue::unlink(Event *event)
+{
+    const unsigned b = bucketOf(event->_when);
+    Bucket &bucket = buckets[b];
+    (event->_prev ? event->_prev->_next : bucket.head) = event->_next;
+    (event->_next ? event->_next->_prev : bucket.tail) = event->_prev;
+    if (bucket.head == nullptr)
+        busy[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+}
+
+void
+EventQueue::farErase(std::size_t index)
+{
+    Event *last = far.back();
+    far.pop_back();
+    if (index < far.size())
+        farSettle(index, last);
+}
+
+void
+EventQueue::farSettle(std::size_t index, Event *event)
+{
+    auto place = [this](std::size_t at, Event *e) {
+        far[at] = e;
+        e->_farIndex = static_cast<std::uint32_t>(at);
+    };
+    for (std::size_t parent; index > 0; index = parent) {
+        parent = (index - 1) / 2;
+        if (!earlier(event, far[parent]))
+            break;
+        place(index, far[parent]);
+    }
+    for (std::size_t child; (child = 2 * index + 1) < far.size();
+         index = child) {
+        if (child + 1 < far.size() && earlier(far[child + 1], far[child]))
+            ++child;
+        if (!earlier(far[child], event))
+            break;
+        place(index, far[child]);
+    }
+    place(index, event);
+}
+
+void
+EventQueue::migrate()
+{
+    // The heap yields in (when, sequence) order, and no insert has
+    // reached these buckets yet, so each one stays sorted.
+    const Tick end = wheelEnd();
+    do {
+        Event *event = far.front();
+        farErase(0);
+        link(event);
+    } while (!far.empty() && far.front()->_when < end);
 }
 
 void
@@ -107,29 +130,13 @@ EventQueue::schedule(Event *event, Tick when)
     event->_scheduled = true;
     event->_when = when;
     event->_sequence = nextSequence++;
-    const HeapEntry entry{when, event->_sequence, event};
-    // A lane holds one delay at a time; since curTick() never falls,
-    // appending an entry of the lane's delay keeps the lane sorted.
-    // An entry whose lane holds another delay takes the heap.
-    const Tick delay = when - _curTick;
-    const unsigned lane = laneOf(delay);
-    const unsigned bit = 1u << lane;
-    if ((laneMask & bit) == 0) {
-        laneDelay[lane] = delay;
-        laneMask |= bit;
-        lanes[lane].push_back(entry);
-    } else if (laneDelay[lane] == delay) {
-        lanes[lane].push_back(entry);
+    if (when < wheelEnd()) {
+        link(event);
     } else {
-        heap.push(entry);
+        far.push_back(event);
+        farSettle(far.size() - 1, event);
     }
     ++liveEvents;
-}
-
-void
-EventQueue::deschedule(Event *event)
-{
-    descheduleImpl(event, /*recycleOwned=*/true);
 }
 
 void
@@ -138,26 +145,23 @@ EventQueue::descheduleImpl(Event *event, bool recycleOwned)
     ifp_assert(event != nullptr, "descheduling null event");
     ifp_assert(event->_scheduled, "event '%s' not scheduled",
                event->description());
+    if (event->_when < wheelEnd())
+        unlink(event);
+    else
+        farErase(event->_farIndex);
     event->_scheduled = false;
-    ifp_assert(liveEvents > 0, "live event underflow");
     --liveEvents;
-    if (event->_owned && recycleOwned) {
-        // Squashed queue-owned one-shot: release its captures and
-        // recycle it now. The stale lane or heap entry is harmless — reuse
-        // assigns a strictly newer sequence number, so the pop loop
-        // skips it — and never recycles (only this path, the
-        // post-process path and clear() park events, each only a
-        // pending one, so no double-free).
+    // A squashed queue-owned one-shot releases its captures and
+    // returns to the free-list now.
+    if (event->_owned && recycleOwned)
         park(event);
-    }
 }
 
 void
 EventQueue::reschedule(Event *event, Tick when)
 {
-    // Keep owned one-shots off the free-list across the gap: the
-    // same object is re-armed immediately, and parking it would let
-    // schedule(Tick, fn) hand it out while still in use here.
+    // Keep owned one-shots off the free-list across the gap: parking
+    // would let schedule(Tick, fn) hand out the object re-armed here.
     if (event->_scheduled)
         descheduleImpl(event, /*recycleOwned=*/false);
     schedule(event, when);
@@ -167,9 +171,7 @@ Event *
 EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 {
     // One-shots are recycled: a fired lambda is re-armed instead of
-    // paying a fresh make_unique + std::function allocation. Stale
-    // entries for a recycled event are harmless because reuse
-    // assigns a strictly newer sequence number.
+    // paying a fresh make_unique + callable allocation.
     LambdaEvent *ev;
     if (!freeList.empty()) {
         ev = freeList.back();
@@ -187,35 +189,33 @@ EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 bool
 EventQueue::runNext(Tick limit)
 {
-    int source = heapSource;
-    while (const HeapEntry *head = front(source)) {
-        const HeapEntry entry = *head;
-        Event *event = entry.event;
-        // Stale entry: event was descheduled (and possibly rescheduled
-        // with a newer sequence number).
-        if (!event->_scheduled || event->_sequence != entry.sequence) {
-            popFront(source);
-            continue;
-        }
-        if (entry.when > limit)
+    if (liveEvents == far.size()) {
+        // Nothing on the wheel: time jumps to the earliest far event.
+        if (far.empty() || far.front()->_when > limit)
             return false;
-        popFront(source);
-
-        ifp_assert(entry.when >= _curTick, "time went backwards");
-        _curTick = entry.when;
-        event->_scheduled = false;
-        ifp_assert(liveEvents > 0, "live event underflow");
-        --liveEvents;
-        ++executed;
-        event->process();
-        if (event->_owned && !event->_scheduled) {
-            // Queue-owned one-shot that did not re-arm itself: park it
-            // on the free-list and drop its captures now.
-            park(event);
-        }
-        return true;
+        advanceTo(far.front()->_when);
     }
-    return false;
+    // From curTick()'s bucket onwards, wrapping, buckets run in time
+    // order: the first busy one holds the earliest event.
+    const unsigned start = bucketOf(_curTick);
+    unsigned word = start / 64;
+    std::uint64_t bits = busy[word] & (~std::uint64_t{0} << (start % 64));
+    while (bits == 0) {
+        word = (word + 1) % busy.size();
+        bits = busy[word];
+    }
+    Event *event = buckets[word * 64 + std::countr_zero(bits)].head;
+    if (event->_when > limit)
+        return false;
+    unlink(event);
+    advanceTo(event->_when);
+    event->_scheduled = false;
+    --liveEvents;
+    ++executed;
+    event->process();
+    if (event->_owned && !event->_scheduled)
+        park(event);  // a one-shot that did not re-arm itself
+    return true;
 }
 
 bool

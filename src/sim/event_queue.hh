@@ -2,33 +2,38 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The EventQueue executes (tick, sequence, event) triples in order.
- * Events scheduled for the same tick run in the order they were
- * scheduled, which keeps the simulator deterministic. Most schedules
- * repeat a handful of delays (a CU tick one cycle ahead, a fixed cache
- * latency), so a few FIFO lanes sit in front of a binary min-heap:
- * an entry joins the lane of its delay (when - curTick()) if that lane
- * is empty or already holds that delay, and the heap otherwise. As
- * curTick() never decreases, entries sharing a delay arrive sorted by
- * (tick, sequence), so every lane is sorted by construction and the
- * queue runs the least front among the lanes and the heap: the same
- * order a single heap gives, at a ring push and pop per lane entry.
+ * The EventQueue runs events in (tick, sequence) order: events due at
+ * one tick run in the order they were scheduled, so runs are deterministic.
  *
- * Two event flavours are provided:
- *  - Event: subclass and override process().
- *  - LambdaEvent / EventQueue::schedule(tick, fn): wrap a callable.
+ * Pending events sit on a timing wheel (a calendar queue, R. Brown,
+ * CACM 1988) of numBuckets = 512 buckets of 2^bucketBits = 256 ticks,
+ * a span of 131,072 ticks (about 262 GPU cycles at 2 GHz). An event
+ * due before wheelEnd(), the end of the span starting at curTick()'s
+ * bucket, joins bucket (when >> 8) & 511, which then holds only its
+ * 256-tick interval: an intrusive doubly-linked FIFO threaded through
+ * the events and sorted by (tick, sequence). An insert appends at the
+ * tail, walking back only past events due at a later tick; a bucket is
+ * narrower than the 500-tick GPU clock period, so clock edges never
+ * walk. An occupancy bitmap finds the next busy bucket. Later events
+ * wait in a min-heap of Event pointers ordered by (tick, sequence),
+ * each event recording its heap index. Whenever curTick() advances,
+ * the far events the wheel now covers move to their buckets in (tick,
+ * sequence) order before the next event runs. No insert can reach a
+ * bucket before it enters the span, so a bucket receives its far
+ * events before any direct insert, and the order stays exact.
+ * deschedule() unlinks an event from its bucket in O(1), or removes it
+ * at its heap index. The queue holds pending events only: empty()
+ * means size() == 0, and a descheduled event may be destroyed at once.
  *
- * An event object is owned by its creator and must outlive its scheduled
- * occurrence (or a clear()); the queue never deletes events. LambdaEvents
- * created via the schedule(tick, fn) convenience are owned by the queue
- * and are recycled through a free-list once they fire: a one-shot
- * allocates at most once per *concurrently pending* lambda, not once per
- * schedule. Descriptions are string literals, read only by asserts.
+ * Subclass Event and override process(), or wrap a callable with
+ * schedule(tick, fn). Events are owned by their creators and must
+ * outlive their scheduled occurrence (or a clear()), except one-shot
+ * LambdaEvents: the queue owns those and recycles them through a
+ * free-list, allocating once per *concurrently pending* one-shot.
+ * Descriptions are string literals, read only by asserts.
  *
- * Reentrancy contract: an EventQueue is confined to one thread at a
- * time, but any number of queues may be live concurrently on
- * different threads (one per parallel-sweep worker). A queue touches
- * no global state, so queues never interfere.
+ * An EventQueue is confined to one thread at a time; queues on other
+ * threads (one per sweep worker) never interfere: none touches globals.
  */
 
 #ifndef IFP_SIM_EVENT_QUEUE_HH
@@ -36,22 +41,15 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
-#include "sim/ring_queue.hh"
 #include "sim/small_func.hh"
 #include "sim/types.hh"
 
 namespace ifp::sim {
 
-class EventQueue;
-
-/**
- * Base class for all schedulable events.
- */
+/** Base class for all schedulable events. */
 class Event
 {
   public:
@@ -72,10 +70,15 @@ class Event
   private:
     friend class EventQueue;
 
-    bool _scheduled = false;
-    bool _owned = false;   //!< queue-owned one-shot, recyclable
+    /** Bucket neighbours, while on the wheel. */
+    Event *_prev = nullptr;
+    Event *_next = nullptr;
     Tick _when = 0;
     std::uint64_t _sequence = 0;
+    /** Index in the far heap, while due at or after wheelEnd(). */
+    std::uint32_t _farIndex = 0;
+    bool _scheduled = false;
+    bool _owned = false;   //!< queue-owned one-shot, recyclable
 };
 
 /** Event wrapping an arbitrary callable. */
@@ -106,14 +109,12 @@ class LambdaEvent : public Event
     const char *desc;
 };
 
-/**
- * The global ordering structure of the simulation.
- */
+/** The global ordering structure of the simulation. */
 class EventQueue
 {
   public:
-    EventQueue();
-    ~EventQueue();
+    EventQueue() = default;
+    ~EventQueue() { clear(); }  // no event dies scheduled
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -128,10 +129,10 @@ class EventQueue
      * Remove a scheduled event from the queue. A queue-owned one-shot
      * (from schedule(Tick, fn)) is released and recycled immediately:
      * its captured resources drop now and the LambdaEvent returns to
-     * the free-list instead of being stranded behind its stale heap
-     * entry. The handle must not be used again after descheduling.
+     * the free-list. The handle must not be used again after
+     * descheduling.
      */
-    void deschedule(Event *event);
+    void deschedule(Event *event) { descheduleImpl(event, true); }
 
     /** Deschedule (if needed) and reschedule at a new tick. */
     void reschedule(Event *event, Tick when);
@@ -153,11 +154,8 @@ class EventQueue
      */
     void clear();
 
-    /**
-     * True when no entries remain, counting the stale entries of
-     * descheduled events that have not reached the front yet.
-     */
-    bool empty() const { return heap.empty() && laneMask == 0; }
+    /** True when no event is pending. */
+    bool empty() const { return liveEvents == 0; }
 
     /** Number of pending events. */
     std::size_t size() const { return liveEvents; }
@@ -181,75 +179,68 @@ class EventQueue
     std::size_t freeListSize() const { return freeList.size(); }
 
   private:
-    /**
-     * @p recycleOwned false keeps a queue-owned one-shot out of the
-     * free-list (reschedule() re-arms the same object immediately).
-     */
-    void descheduleImpl(Event *event, bool recycleOwned);
+    /** log2 of a bucket's width in ticks. */
+    static constexpr unsigned bucketBits = 8;
+    /** Buckets on the wheel; a power of two and a multiple of 64. */
+    static constexpr unsigned numBuckets = 512;
 
-    /** Drop a queue-owned one-shot's captures; free-list it. */
-    void park(Event *event);
-
-    /**
-     * Pop entries in (when, sequence) order, skipping stale ones, and
-     * run the first live one if it is due at or before @p limit.
-     * @return true if an event ran. step() and simulate() share it.
-     */
-    bool runNext(Tick limit);
-
-    struct HeapEntry
+    struct Bucket
     {
-        Tick when = 0;
-        std::uint64_t sequence = 0;
-        Event *event = nullptr;
-
-        bool
-        operator>(const HeapEntry &other) const
-        {
-            return when != other.when ? when > other.when
-                                      : sequence > other.sequence;
-        }
+        Event *head = nullptr;
+        Event *tail = nullptr;
     };
 
-    using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                     std::greater<HeapEntry>>;
-
-    /** FIFO lanes in front of the heap. */
-    static constexpr unsigned numLanes = 8;
-    /** front()'s source for the heap; lanes are 0 .. numLanes-1. */
-    static constexpr int heapSource = numLanes;
-
-    /**
-     * Direct-mapped lane of @p delay: the top bits of a multiplicative
-     * hash, so delays that are all multiples of a clock period still
-     * spread. The multiplier (splitmix64's) puts the default machine's
-     * common delays of 1, 4, 50 and 146 GPU cycles in four different
-     * lanes; the golden-ratio one maps 1 and 4 cycles to one lane.
-     */
     static unsigned
-    laneOf(Tick delay)
+    bucketOf(Tick when)
     {
-        return static_cast<unsigned>(
-            (delay * 0xBF58476D1CE4E5B9ULL) >> (64 - 3));
+        return static_cast<unsigned>(when >> bucketBits) & (numBuckets - 1);
     }
-    static_assert(numLanes == 8, "laneOf() takes the top 3 bits");
 
-    /**
-     * The least (when, sequence) entry among the lane fronts and the
-     * heap top, or nullptr when the queue holds none; @p source is
-     * set to where it sits, a lane index or heapSource.
-     */
-    const HeapEntry *front(int &source) const;
+    /** First tick past the wheel's span: far events are due from it. */
+    Tick
+    wheelEnd() const
+    {
+        return ((_curTick >> bucketBits) + numBuckets) << bucketBits;
+    }
 
-    /** Remove the front entry of @p source. */
-    void popFront(int source);
+    /** The execution order, (when, sequence). */
+    static bool
+    earlier(const Event *a, const Event *b)
+    {
+        return a->_when != b->_when ? a->_when < b->_when
+                                    : a->_sequence < b->_sequence;
+    }
 
-    Heap heap;
-    std::array<RingQueue<HeapEntry>, numLanes> lanes;
-    /** The delay lanes[i] holds; meaningful while the lane is busy. */
-    std::array<Tick, numLanes> laneDelay{};
-    /** Bit i set iff lanes[i] holds at least one entry. */
-    unsigned laneMask = 0;
+    /** @p recycleOwned false keeps a one-shot off the free-list. */
+    void descheduleImpl(Event *event, bool recycleOwned);
+    /** Drop a queue-owned one-shot's captures; free-list it. */
+    void park(Event *event);
+    /** Put @p event, the newest in its bucket, into the bucket. */
+    void link(Event *event);
+    void unlink(Event *event);
+    /** Remove the far heap's entry at @p index. */
+    void farErase(std::size_t index);
+    /** Put @p event into the far heap's hole at @p index, in order. */
+    void farSettle(std::size_t index, Event *event);
+    /** Move the far events due before wheelEnd() to their buckets. */
+    void migrate();
+
+    /** Move time to @p when, and the far events it brings in range. */
+    void
+    advanceTo(Tick when)
+    {
+        _curTick = when;
+        if (!far.empty() && far.front()->_when < wheelEnd())
+            migrate();
+    }
+
+    /** Run the first event if due by @p limit; step() and simulate(). */
+    bool runNext(Tick limit);
+
+    std::array<Bucket, numBuckets> buckets{};
+    std::array<std::uint64_t, numBuckets / 64> busy{};  //!< busy buckets
+    /** Events due at or after wheelEnd(), a binary min-heap. */
+    std::vector<Event *> far;
     /** Owns every one-shot this queue ever allocated (pool + live). */
     std::vector<std::unique_ptr<LambdaEvent>> owned;
     /** Fired one-shots ready for the next schedule(Tick, fn). */

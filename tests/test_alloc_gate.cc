@@ -10,14 +10,14 @@
  * flash-invalidates the L1, and the event-queue one-shots that carry
  * them — touches the heap not at all: requests come from the
  * MemRequestPool, completions go through typed responders, events
- * recycle through the queue's free-list, device queues and the
- * queue's lanes are RingQueues, MSHR slots are reused, and an event
- * description is a string literal, so re-arming a one-shot copies a
- * pointer, not a string. The CU's issue loop, the schedule-oracle
- * path included, is held to the same rule. These tests pin that
- * property exactly, so any future change that sneaks a per-request
- * allocation back in fails here instead of showing up as a slow bench
- * three PRs later.
+ * recycle through the queue's free-list and link into its wheel
+ * intrusively, device queues are RingQueues, MSHR slots are reused,
+ * and an event description is a string literal, so re-arming a
+ * one-shot copies a pointer, not a string. The CU's issue loop, the
+ * schedule-oracle path included, is held to the same rule. These
+ * tests pin that property exactly, so any future change that sneaks
+ * a per-request allocation back in fails here instead of showing up
+ * as a slow bench three PRs later.
  *
  * Cold paths (first touch of a line, a new MSHR slot, pool/slab
  * growth) are warm-up by definition and excluded by design.
@@ -297,9 +297,7 @@ TEST(AllocGate, SquashedOneShotsRecycleWithoutTheHeap)
 {
     sim::EventQueue eq;
     int fired = 0;
-    // Warm-up: one schedule/squash/replace cycle. Draining fully each
-    // cycle also clears the squashed occurrence's stale heap entry,
-    // so the heap never grows across cycles.
+    // Warm-up: one schedule/squash/replace cycle.
     sim::Event *warm = eq.schedule(eq.curTick() + 100, [] {});
     eq.deschedule(warm);
     eq.schedule(eq.curTick() + 1, [&fired] { ++fired; });
@@ -316,6 +314,57 @@ TEST(AllocGate, SquashedOneShotsRecycleWithoutTheHeap)
     EXPECT_EQ(after - before, 0u)
         << "squash/recycle of owned one-shots touched the heap";
     EXPECT_EQ(fired, 1001);
+}
+
+/** A CU-tick-like member event, re-armed one GPU cycle ahead. */
+struct Ticker : sim::Event
+{
+    explicit Ticker(sim::EventQueue &eq) : eq(eq) {}
+
+    void
+    process() override
+    {
+        if (--left > 0)
+            eq.schedule(this, eq.curTick() + 500);
+    }
+
+    sim::EventQueue &eq;
+    int left = 0;
+};
+
+TEST(AllocGate, FarEventsMigrateWithoutTheHeap)
+{
+    // Sleep- and timeout-like one-shots due past the wheel's span wait
+    // in the far heap; a quarter are squashed there, and the rest
+    // migrate onto the wheel, among a ticking member's re-arms, when
+    // time reaches them. The far heap's vector grows only to its
+    // high-water mark, so after one warm round nothing allocates.
+    sim::EventQueue eq;
+    Ticker ticker(eq);
+    constexpr int numFar = 64;
+    std::array<sim::Event *, numFar> handles{};
+    int fired = 0;
+    auto round = [&] {
+        const sim::Tick now = eq.curTick();
+        ticker.left = 1'500;
+        eq.schedule(&ticker, now + 500);
+        for (int i = 0; i < numFar; ++i) {
+            handles[i] = eq.schedule(now + 200'000 + 7'919 * i,
+                                     [&fired] { ++fired; }, "cu0.sleep");
+        }
+        for (int i = 0; i < numFar; i += 4)
+            eq.deschedule(handles[i]);
+        eq.simulate();
+    };
+    round();
+
+    const std::uint64_t before = allocCount();
+    for (int r = 0; r < 10; ++r)
+        round();
+    EXPECT_EQ(allocCount() - before, 0u)
+        << "far-event schedule, squash or migration touched the heap";
+    EXPECT_EQ(fired, 11 * (numFar - numFar / 4));
+    EXPECT_TRUE(eq.empty());
 }
 
 /** Rotates through the candidates, so every issue asks the oracle. */

@@ -218,7 +218,7 @@ TEST(EventQueueFreeList, RecycledOneShotsNeverDoubleFire)
 {
     EventQueue eq;
     std::vector<int> log;
-    // Wave 1 leaves stale heap entries for nothing: all fire.
+    // Wave 1: every one-shot fires.
     for (int i = 0; i < 8; ++i)
         eq.schedule(i + 1, [&log, i] { log.push_back(i); });
     eq.simulate();
@@ -310,7 +310,7 @@ TEST(EventQueueFreeList, SquashedOneShotReleasesCapturedResources)
     // Captured resources drop at squash time, not when the slot is
     // eventually reused.
     EXPECT_TRUE(observer.expired());
-    eq.simulate();   // the stale heap entry must be skipped cleanly
+    eq.simulate();   // the squashed one-shot must not run
     EXPECT_TRUE(eq.empty());
 }
 
@@ -392,8 +392,8 @@ TEST(EventQueueClear, DropsPendingEventsAndReleasesCaptures)
     eq.schedule(member.get(), 50);
     eq.schedule(40, [t = token] { FAIL() << "cleared one-shot ran"; });
     eq.schedule(60, [t = token] { FAIL() << "cleared one-shot ran"; });
-    // A squashed one-shot leaves a stale heap entry behind, and its
-    // recycled object is pending again under a newer sequence.
+    // A squashed one-shot's recycled object is pending again under a
+    // newer sequence.
     Event *squashed = eq.schedule(70, [t = token] {});
     eq.deschedule(squashed);
     eq.schedule(80, [t = token] { FAIL() << "cleared one-shot ran"; });
@@ -433,15 +433,40 @@ TEST(EventQueueClear, QueueStaysUsable)
     EXPECT_EQ(eq.size(), 0u);
 }
 
+TEST(EventQueueWheel, FarEventsJoinTheWheelBeforeTheNextEventRuns)
+{
+    // Tick 200,000 lies past the wheel's 131,072-tick span at tick 0
+    // and inside it at tick 100,000. The event running at 100,000 sees
+    // the far event already on the wheel: a schedule for the same tick
+    // runs after it, and a deschedule takes it off the wheel.
+    EventQueue eq;
+    std::vector<int> log;
+    Recorder far(log, 1);
+    eq.schedule(&far, 200'000);
+    eq.schedule(100'000, [&] {
+        eq.schedule(200'000, [&log] { log.push_back(2); });
+    });
+    eq.simulate();
+    EXPECT_EQ(log, (std::vector<int>{1, 2}));
+
+    log.clear();
+    eq.schedule(&far, 400'000);
+    eq.schedule(300'000, [&] { eq.deschedule(&far); });
+    eq.simulate();
+    EXPECT_TRUE(log.empty());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.curTick(), 300'000u);
+}
+
 // ---------------------------------------------------------------
-// Exactness of the FIFO lanes: a randomized differential test
+// Exactness of the queue: a randomized differential test
 // ---------------------------------------------------------------
 
 /** One executed event: (tick, test-assigned id). */
 using Fired = std::pair<Tick, int>;
 
 /**
- * The single sorted structure the lanes must match: every entry,
+ * The single sorted structure the queue must match: every entry,
  * stale ones included, ordered by (when, sequence). Members re-arm
  * themselves on firing as the real ones do.
  */
@@ -517,13 +542,15 @@ class RearmingMember : public Event
     int id;
 };
 
+/**
+ * Drive one queue and the reference through the same random
+ * operations, with delays drawn from @p delays and each simulate()
+ * running at most @p maxAdvance ticks ahead.
+ */
 void
-runLaneDifferential(std::uint64_t seed)
+runLaneDifferential(std::uint64_t seed, const std::vector<Tick> &delays,
+                    Tick maxAdvance)
 {
-    // Fourteen distinct delays for eight lanes: lanes collide, retag
-    // once they drain, and overflow to the heap.
-    const Tick delays[] = {0, 1, 2, 3, 5, 7, 8, 13, 64, 100, 500, 2000,
-                           25'000, 73'000};
     constexpr int numMembers = 12;
     Rng rng(seed);
     std::vector<Fired> log, ref_log;
@@ -537,9 +564,7 @@ runLaneDifferential(std::uint64_t seed)
     std::map<int, Event *> one_shots;  // pending id -> handle
     int next_one_shot = numMembers;
 
-    auto pick_delay = [&] {
-        return delays[rng.uniform(std::size(delays))];
-    };
+    auto pick_delay = [&] { return delays[rng.uniform(delays.size())]; };
     // A pending event, member or one-shot, chosen uniformly.
     auto pick_pending = [&]() -> std::pair<int, Event *> {
         if (ref.live.empty())
@@ -583,7 +608,7 @@ runLaneDifferential(std::uint64_t seed)
             eq.reschedule(ev, when);
             ref.schedule(id, when);
         } else if (roll < 96) {
-            const Tick limit = eq.curTick() + rng.uniform(3000);
+            const Tick limit = eq.curTick() + rng.uniform(maxAdvance);
             eq.simulate(limit);
             ref.simulate(limit, ref_log);
         } else if (roll < 99) {
@@ -604,7 +629,7 @@ runLaneDifferential(std::uint64_t seed)
         ref_log.clear();
         ASSERT_EQ(eq.curTick(), ref.now) << "op " << op;
         ASSERT_EQ(eq.size(), ref.live.size()) << "op " << op;
-        ASSERT_EQ(eq.empty(), ref.entries.empty()) << "op " << op;
+        ASSERT_EQ(eq.empty(), ref.live.empty()) << "op " << op;
         ASSERT_EQ(eq.numExecuted(), ref.executed) << "op " << op;
     }
     eq.simulate();
@@ -617,8 +642,24 @@ runLaneDifferential(std::uint64_t seed)
 
 TEST(EventQueueLanes, MatchesASortedReferenceUnderRandomOperations)
 {
+    // Fourteen short delays: several ticks share a 256-tick bucket,
+    // so inserts walk back past later ticks.
+    const std::vector<Tick> near = {0,  1,  2,   3,   5,    7,      8,
+                                    13, 64, 100, 500, 2000, 25'000, 73'000};
     for (std::uint64_t seed : {1, 2, 3}) {
-        runLaneDifferential(seed);
+        runLaneDifferential(seed, near, 3000);
+        if (HasFatalFailure())
+            return;
+    }
+    // Delays straddling the wheel's 131,072-tick span and its bucket
+    // edges, so far events migrate onto the wheel; the simulate()
+    // window grows in proportion to the longest delay.
+    const std::vector<Tick> straddling = {
+        0,       1,       255,     256,     257,     500,
+        1'000,   130'000, 131'071, 131'072, 131'073, 131'328,
+        262'144, 400'000, 1'000'000};
+    for (std::uint64_t seed : {4, 5, 6}) {
+        runLaneDifferential(seed, straddling, 41'000);
         if (HasFatalFailure())
             return;
     }

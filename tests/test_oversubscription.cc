@@ -29,16 +29,22 @@ PrintTo(const OverCase &c, std::ostream *os)
 }
 
 
+/** "<workload>_<policy>", as a test name may spell it. */
 std::string
-overName(const ::testing::TestParamInfo<OverCase> &info)
+cellName(const std::string &workload, Policy policy)
 {
-    std::string name = info.param.workload + "_" +
-                       core::policyName(info.param.policy);
+    std::string name = workload + "_" + core::policyName(policy);
     for (char &c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c)))
             c = '_';
     }
     return name;
+}
+
+std::string
+overName(const ::testing::TestParamInfo<OverCase> &info)
+{
+    return cellName(info.param.workload, info.param.policy);
 }
 
 class Oversubscribed : public ::testing::TestWithParam<OverCase>
@@ -84,6 +90,72 @@ overCases()
 
 INSTANTIATE_TEST_SUITE_P(FigFifteen, Oversubscribed,
                          ::testing::ValuesIn(overCases()), overName);
+
+/** A Figure 15 cell that must stall, and the oracle's verdict on it. */
+struct StallCase
+{
+    std::string workload;
+    Policy policy;
+    core::Verdict verdict;
+};
+
+void
+PrintTo(const StallCase &c, std::ostream *os)
+{
+    *os << c.workload << "/" << core::policyName(c.policy) << " -> "
+        << core::verdictName(c.verdict);
+}
+
+std::string
+stallName(const ::testing::TestParamInfo<StallCase> &info)
+{
+    return cellName(info.param.workload, info.param.policy);
+}
+
+class Fig15Stall : public ::testing::TestWithParam<StallCase>
+{
+};
+
+// The science of Figure 15, pinned per cell: a change that moves the
+// event order or the liveness oracle and so a verdict fails here, not
+// only in the benchmark's digests.
+TEST_P(Fig15Stall, KeepsItsVerdict)
+{
+    const StallCase &c = GetParam();
+    // bench::evalExperiment(workload, policy, true): the evaluation
+    // geometry with the last CU lost at 10 us.
+    harness::Experiment exp;
+    exp.workload = c.workload;
+    exp.policy = c.policy;
+    exp.params = harness::defaultEvalParams();
+    exp.params.iters = 16;
+    exp.runCfg.faultPlan = core::FaultPlan::cuLoss(10);
+    const core::RunResult result = harness::runExperiment(exp);
+    EXPECT_TRUE(result.deadlocked);
+    EXPECT_STREQ(core::verdictName(result.verdict),
+                 core::verdictName(c.verdict));
+}
+
+std::vector<StallCase>
+fig15StallCases()
+{
+    // Baseline reads DEADLOCK on all twelve. Sleep's backoff counts as
+    // retry activity, and Sleep reads LIVELOCK on ten, but DEADLOCK on
+    // SPM_L and SPMBO_L.
+    std::vector<StallCase> cases;
+    for (const std::string &w : workloads::heteroSyncAbbrevs()) {
+        const bool sleepDeadlocks = w == "SPM_L" || w == "SPMBO_L";
+        cases.push_back({w, Policy::Baseline, core::Verdict::Deadlock});
+        cases.push_back({w, Policy::Sleep,
+                         sleepDeadlocks ? core::Verdict::Deadlock
+                                        : core::Verdict::Livelock});
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(FigFifteenVerdicts, Fig15Stall,
+                         ::testing::ValuesIn(fig15StallCases()),
+                         stallName);
 
 TEST(OversubscribedDetail, RecoveryUsesContextSwitches)
 {
