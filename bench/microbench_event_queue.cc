@@ -3,8 +3,8 @@
  * Microbenchmarks of the EventQueue hot path: one-shot lambda
  * scheduling (the queue's free-list recycling vs the legacy
  * allocate-per-schedule pattern), raw schedule/step on external
- * events, deschedule/reschedule churn, and fig14's mix of delays with
- * and without delays beyond the queue's timing wheel.
+ * events, and fig14's mix of delays with and without delays beyond
+ * the queue's timing wheel.
  * These quantify the events/sec the simulator core sustains — the
  * figure every sweep's runtime is built on.
  */
@@ -88,43 +88,6 @@ BM_ScheduleStep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ScheduleStep);
-
-/** Schedule/deschedule churn: the cancel path of every squash. */
-void
-BM_ScheduleDeschedule(benchmark::State &state)
-{
-    sim::EventQueue eq;
-    NullEvent ev;
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        eq.schedule(&ev, eq.curTick() + 1);
-        eq.deschedule(&ev);
-        // A no-op on today's queue, kept so that numbers taken before
-        // it (when this drained stale heap entries) time the same loop.
-        if ((++n & 1023u) == 0)
-            eq.simulate();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ScheduleDeschedule);
-
-/** Reschedule: the wait/resume pattern the policies lean on. */
-void
-BM_Reschedule(benchmark::State &state)
-{
-    sim::EventQueue eq;
-    NullEvent ev;
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        eq.reschedule(&ev, eq.curTick() + 1 + (n & 7u));
-        if ((++n & 1023u) == 0)
-            eq.simulate();
-    }
-    // Fire the final occurrence so 'ev' is unscheduled at destruction.
-    eq.simulate();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Reschedule);
 
 /**
  * A CU tick: re-armed one GPU cycle ahead each time it fires, and

@@ -58,8 +58,6 @@ struct PolicyConfig
     sim::Cycles timeoutIntervalCycles = 20'000;
     /** Sleep policy: maximum backoff interval. */
     sim::Cycles sleepMaxBackoffCycles = 16'384;
-    /** Sleep policy: initial backoff interval. */
-    sim::Cycles sleepMinBackoffCycles = 64;
     syncmon::SyncMonConfig syncmon;
 };
 

@@ -60,15 +60,15 @@ litmusRunConfig(const workloads::LitmusSpec &spec, core::Policy policy,
 }
 
 workloads::WorkloadParams
-litmusParams(const workloads::LitmusSpec &spec, core::Policy policy)
+litmusParams(const workloads::LitmusSpec &spec,
+             const core::PolicyConfig &policy)
 {
     workloads::WorkloadParams params;
     params.numWgs = spec.numWgs;
     params.wgsPerGroup = spec.maxWgsPerCu;
     params.wiPerWg = 1;
     params.iters = 1;
-    params.style = core::styleFor(policy);
-    return params;
+    return workloads::paramsForPolicy(params, policy);
 }
 
 void
@@ -126,7 +126,7 @@ runLitmusSchedule(const workloads::LitmusWorkload &litmus,
     if (on_system)
         on_system(system);
 
-    workloads::WorkloadParams params = litmusParams(spec, policy);
+    workloads::WorkloadParams params = litmusParams(spec, run_cfg.policy);
     isa::Kernel kernel = litmus.build(system, params);
 
     core::RunResult run = system.run(
@@ -207,7 +207,7 @@ exhaustive(const workloads::LitmusWorkload &litmus,
             litmusRunConfig(litmus.spec(), policy, cfg.run);
         core::GpuSystem scratch(run_cfg);
         isa::Kernel kernel =
-            litmus.build(scratch, litmusParams(litmus.spec(), policy));
+            litmus.build(scratch, litmusParams(litmus.spec(), run_cfg.policy));
         const gpu::GpuConfig &gpu = run_cfg.gpu;
         commut = std::make_unique<analysis::CommutativityOracle>(
             kernel, analysis::makeLaunchContext(

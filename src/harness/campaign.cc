@@ -27,8 +27,8 @@ runServingMix(const CampaignConfig &cfg, const core::FaultPlan &plan,
     run_cfg.policy.policy = policy;
     run_cfg.faultPlan = plan;
 
-    workloads::WorkloadParams params = cfg.params;
-    params.style = core::styleFor(policy);
+    const workloads::WorkloadParams params =
+        workloads::paramsForPolicy(cfg.params, run_cfg.policy);
 
     core::GpuSystem system(run_cfg);
     workloads::WorkloadPtr primary =

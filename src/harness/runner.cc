@@ -25,13 +25,10 @@ runExperimentWithSystem(const Experiment &exp,
         exp.makeWorkload ? exp.makeWorkload()
                          : workloads::makeWorkload(exp.workload);
 
-    workloads::WorkloadParams params = exp.params;
-    params.style = core::styleFor(exp.policy);
-    params.backoffMaxCycles = static_cast<std::int64_t>(
-        exp.runCfg.policy.sleepMaxBackoffCycles);
-
     core::RunConfig run_cfg = exp.runCfg;
     run_cfg.policy.policy = exp.policy;
+    const workloads::WorkloadParams params =
+        workloads::paramsForPolicy(exp.params, run_cfg.policy);
     if (exp.observe.wantsCapture() || traceSmokeEnabled())
         run_cfg.traceEnabled = true;
 

@@ -33,7 +33,7 @@ struct Experiment
      */
     std::function<workloads::WorkloadPtr()> makeWorkload;
 
-    /** Workload geometry (style is overwritten from the policy). */
+    /** Workload geometry (style and backoff cap come from the policy). */
     workloads::WorkloadParams params;
 
     /**

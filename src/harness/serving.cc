@@ -91,13 +91,10 @@ runServingScenario(const ServingConfig &cfg)
     ifp_assert(!tenants.empty(), "serving scenario with no tenants");
     ifp_assert(cfg.numLaunches > 0, "serving scenario with no launches");
 
-    workloads::WorkloadParams params = cfg.params;
-    params.style = core::styleFor(cfg.policy);
-    params.backoffMaxCycles = static_cast<std::int64_t>(
-        cfg.runCfg.policy.sleepMaxBackoffCycles);
-
     core::RunConfig run_cfg = cfg.runCfg;
     run_cfg.policy.policy = cfg.policy;
+    const workloads::WorkloadParams params =
+        workloads::paramsForPolicy(cfg.params, run_cfg.policy);
     run_cfg.cp.admission = admissionConfigFor(cfg.admission);
     if (!cfg.traceOutPath.empty() || traceSmokeEnabled())
         run_cfg.traceEnabled = true;

@@ -64,7 +64,7 @@ struct ServingConfig
     double meanInterarrivalUs = 10.0;
     /** Tenant mix; empty = defaultServingTenants(). */
     std::vector<ServingTenant> tenants;
-    /** Per-kernel geometry (style is overwritten from the policy). */
+    /** Per-kernel geometry (style and backoff cap come from the policy). */
     workloads::WorkloadParams params;
     /** Machine configuration (admission knobs are overwritten). */
     core::RunConfig runCfg;

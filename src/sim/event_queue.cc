@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -45,61 +46,22 @@ EventQueue::link(Event *event)
 {
     const unsigned b = bucketOf(event->_when);
     Bucket &bucket = buckets[b];
-    // The bucket is sorted by (when, sequence) and holds no newer
-    // sequence, so the event goes after everything due by its tick.
-    Event *prev = bucket.tail;
-    while (prev != nullptr && prev->_when > event->_when)
-        prev = prev->_prev;
-    Event *next = prev != nullptr ? prev->_next : bucket.head;
-    event->_prev = prev;
-    event->_next = next;
-    (prev != nullptr ? prev->_next : bucket.head) = event;
-    (next != nullptr ? next->_prev : bucket.tail) = event;
-    busy[b / 64] |= std::uint64_t{1} << (b % 64);
-}
-
-void
-EventQueue::unlink(Event *event)
-{
-    const unsigned b = bucketOf(event->_when);
-    Bucket &bucket = buckets[b];
-    (event->_prev ? event->_prev->_next : bucket.head) = event->_next;
-    (event->_next ? event->_next->_prev : bucket.tail) = event->_prev;
-    if (bucket.head == nullptr)
-        busy[b / 64] &= ~(std::uint64_t{1} << (b % 64));
-}
-
-void
-EventQueue::farErase(std::size_t index)
-{
-    Event *last = far.back();
-    far.pop_back();
-    if (index < far.size())
-        farSettle(index, last);
-}
-
-void
-EventQueue::farSettle(std::size_t index, Event *event)
-{
-    auto place = [this](std::size_t at, Event *e) {
-        far[at] = e;
-        e->_farIndex = static_cast<std::uint32_t>(at);
-    };
-    for (std::size_t parent; index > 0; index = parent) {
-        parent = (index - 1) / 2;
-        if (!earlier(event, far[parent]))
-            break;
-        place(index, far[parent]);
+    event->_next = nullptr;
+    if (bucket.tail == nullptr) {
+        bucket.head = bucket.tail = event;
+        busy[b / 64] |= std::uint64_t{1} << (b % 64);
+    } else if (bucket.tail->_when <= event->_when) {
+        bucket.tail->_next = event;
+        bucket.tail = event;
+    } else {
+        // Sorted by (when, sequence) with no newer sequence: go after
+        // every event due by this tick. The tail, due later, stops.
+        Event **at = &bucket.head;
+        while ((*at)->_when <= event->_when)
+            at = &(*at)->_next;
+        event->_next = *at;
+        *at = event;
     }
-    for (std::size_t child; (child = 2 * index + 1) < far.size();
-         index = child) {
-        if (child + 1 < far.size() && earlier(far[child + 1], far[child]))
-            ++child;
-        if (!earlier(far[child], event))
-            break;
-        place(index, far[child]);
-    }
-    place(index, event);
 }
 
 void
@@ -109,9 +71,9 @@ EventQueue::migrate()
     // reached these buckets yet, so each one stays sorted.
     const Tick end = wheelEnd();
     do {
-        Event *event = far.front();
-        farErase(0);
-        link(event);
+        std::pop_heap(far.begin(), far.end(), RunsLater{});
+        link(far.back());
+        far.pop_back();
     } while (!far.empty() && far.front()->_when < end);
 }
 
@@ -134,40 +96,12 @@ EventQueue::schedule(Event *event, Tick when)
         link(event);
     } else {
         far.push_back(event);
-        farSettle(far.size() - 1, event);
+        std::push_heap(far.begin(), far.end(), RunsLater{});
     }
     ++liveEvents;
 }
 
 void
-EventQueue::descheduleImpl(Event *event, bool recycleOwned)
-{
-    ifp_assert(event != nullptr, "descheduling null event");
-    ifp_assert(event->_scheduled, "event '%s' not scheduled",
-               event->description());
-    if (event->_when < wheelEnd())
-        unlink(event);
-    else
-        farErase(event->_farIndex);
-    event->_scheduled = false;
-    --liveEvents;
-    // A squashed queue-owned one-shot releases its captures and
-    // returns to the free-list now.
-    if (event->_owned && recycleOwned)
-        park(event);
-}
-
-void
-EventQueue::reschedule(Event *event, Tick when)
-{
-    // Keep owned one-shots off the free-list across the gap: parking
-    // would let schedule(Tick, fn) hand out the object re-armed here.
-    if (event->_scheduled)
-        descheduleImpl(event, /*recycleOwned=*/false);
-    schedule(event, when);
-}
-
-Event *
 EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
 {
     // One-shots are recycled: a fired lambda is re-armed instead of
@@ -183,7 +117,6 @@ EventQueue::schedule(Tick when, SmallFunc fn, const char *desc)
     }
     ev->_owned = true;
     schedule(ev, when);
-    return ev;
 }
 
 bool
@@ -204,10 +137,16 @@ EventQueue::runNext(Tick limit)
         word = (word + 1) % busy.size();
         bits = busy[word];
     }
-    Event *event = buckets[word * 64 + std::countr_zero(bits)].head;
+    const unsigned b = word * 64 + std::countr_zero(bits);
+    Bucket &bucket = buckets[b];
+    Event *event = bucket.head;
     if (event->_when > limit)
         return false;
-    unlink(event);
+    bucket.head = event->_next;
+    if (bucket.head == nullptr) {
+        bucket.tail = nullptr;
+        busy[word] &= ~(std::uint64_t{1} << (b % 64));
+    }
     advanceTo(event->_when);
     event->_scheduled = false;
     --liveEvents;

@@ -10,20 +10,24 @@
  * a span of 131,072 ticks (about 262 GPU cycles at 2 GHz). An event
  * due before wheelEnd(), the end of the span starting at curTick()'s
  * bucket, joins bucket (when >> 8) & 511, which then holds only its
- * 256-tick interval: an intrusive doubly-linked FIFO threaded through
- * the events and sorted by (tick, sequence). An insert appends at the
- * tail, walking back only past events due at a later tick; a bucket is
- * narrower than the 500-tick GPU clock period, so clock edges never
- * walk. An occupancy bitmap finds the next busy bucket. Later events
- * wait in a min-heap of Event pointers ordered by (tick, sequence),
- * each event recording its heap index. Whenever curTick() advances,
- * the far events the wheel now covers move to their buckets in (tick,
- * sequence) order before the next event runs. No insert can reach a
- * bucket before it enters the span, so a bucket receives its far
- * events before any direct insert, and the order stays exact.
- * deschedule() unlinks an event from its bucket in O(1), or removes it
- * at its heap index. The queue holds pending events only: empty()
- * means size() == 0, and a descheduled event may be destroyed at once.
+ * 256-tick interval: an intrusive singly-linked FIFO threaded through
+ * the events and sorted by (tick, sequence). An insert appends when
+ * the tail is not due later, and otherwise walks from the head; a
+ * bucket is narrower than the 500-tick GPU clock period, so clock
+ * edges always append. An occupancy bitmap finds the next busy
+ * bucket, whose head runs next. Later events wait in a plain binary
+ * min-heap of Event pointers ordered by (tick, sequence). Whenever
+ * curTick() advances, the far events the wheel now covers move to
+ * their buckets in (tick, sequence) order before the next event runs.
+ * No insert can reach a bucket before it enters the span, so a bucket
+ * receives its far events before any direct insert, and the order
+ * stays exact.
+ *
+ * An event leaves the queue only by running or through clear(). The
+ * models never cancel a pending event: a timer that may go stale
+ * checks an epoch when it fires (Wavefront::waitEpoch in
+ * ComputeUnit::scheduleWake and scheduleRescue,
+ * WorkGroup::dispatchEpoch in Dispatcher::startFresh).
  *
  * Subclass Event and override process(), or wrap a callable with
  * schedule(tick, fn). Events are owned by their creators and must
@@ -64,19 +68,13 @@ class Event
     /** True while the event sits in some queue. */
     bool scheduled() const { return _scheduled; }
 
-    /** Tick this event is scheduled for (valid only when scheduled). */
-    Tick when() const { return _when; }
-
   private:
     friend class EventQueue;
 
-    /** Bucket neighbours, while on the wheel. */
-    Event *_prev = nullptr;
+    /** Next event in its bucket, while on the wheel. */
     Event *_next = nullptr;
     Tick _when = 0;
     std::uint64_t _sequence = 0;
-    /** Index in the far heap, while due at or after wheelEnd(). */
-    std::uint32_t _farIndex = 0;
     bool _scheduled = false;
     bool _owned = false;   //!< queue-owned one-shot, recyclable
 };
@@ -126,26 +124,12 @@ class EventQueue
     void schedule(Event *event, Tick when);
 
     /**
-     * Remove a scheduled event from the queue. A queue-owned one-shot
-     * (from schedule(Tick, fn)) is released and recycled immediately:
-     * its captured resources drop now and the LambdaEvent returns to
-     * the free-list. The handle must not be used again after
-     * descheduling.
-     */
-    void deschedule(Event *event) { descheduleImpl(event, true); }
-
-    /** Deschedule (if needed) and reschedule at a new tick. */
-    void reschedule(Event *event, Tick when);
-
-    /**
      * Convenience: schedule a one-shot callable. The queue owns the
-     * temporary event and recycles it after execution. The returned
-     * handle stays valid until the event fires or is descheduled —
-     * use it only to deschedule() the one-shot early. @p desc is a
+     * temporary event and recycles it after execution. @p desc is a
      * string literal.
      */
-    Event *schedule(Tick when, SmallFunc fn,
-                    const char *desc = "lambda event");
+    void schedule(Tick when, SmallFunc fn,
+                  const char *desc = "lambda event");
 
     /**
      * Drop every pending event unrun: owners may then destroy theirs
@@ -203,25 +187,21 @@ class EventQueue
         return ((_curTick >> bucketBits) + numBuckets) << bucketBits;
     }
 
-    /** The execution order, (when, sequence). */
-    static bool
-    earlier(const Event *a, const Event *b)
+    /** Far-heap order: @p a runs after @p b; the front runs first. */
+    struct RunsLater
     {
-        return a->_when != b->_when ? a->_when < b->_when
-                                    : a->_sequence < b->_sequence;
-    }
+        bool
+        operator()(const Event *a, const Event *b) const
+        {
+            return a->_when != b->_when ? a->_when > b->_when
+                                        : a->_sequence > b->_sequence;
+        }
+    };
 
-    /** @p recycleOwned false keeps a one-shot off the free-list. */
-    void descheduleImpl(Event *event, bool recycleOwned);
     /** Drop a queue-owned one-shot's captures; free-list it. */
     void park(Event *event);
     /** Put @p event, the newest in its bucket, into the bucket. */
     void link(Event *event);
-    void unlink(Event *event);
-    /** Remove the far heap's entry at @p index. */
-    void farErase(std::size_t index);
-    /** Put @p event into the far heap's hole at @p index, in order. */
-    void farSettle(std::size_t index, Event *event);
     /** Move the far events due before wheelEnd() to their buckets. */
     void migrate();
 
@@ -239,7 +219,7 @@ class EventQueue
 
     std::array<Bucket, numBuckets> buckets{};
     std::array<std::uint64_t, numBuckets / 64> busy{};  //!< busy buckets
-    /** Events due at or after wheelEnd(), a binary min-heap. */
+    /** Events due at or after wheelEnd(), a heap under RunsLater. */
     std::vector<Event *> far;
     /** Owns every one-shot this queue ever allocated (pool + live). */
     std::vector<std::unique_ptr<LambdaEvent>> owned;

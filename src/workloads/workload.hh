@@ -57,6 +57,20 @@ struct WorkloadParams
     }
 };
 
+/**
+ * @p base with what @p policy asks of codegen: its waiting style and
+ * the Sleep policy's backoff cap. Every run of a workload under a
+ * policy takes its params from here.
+ */
+inline WorkloadParams
+paramsForPolicy(WorkloadParams base, const core::PolicyConfig &policy)
+{
+    base.style = core::styleFor(policy.policy);
+    base.backoffMaxCycles =
+        static_cast<std::int64_t>(policy.sleepMaxBackoffCycles);
+    return base;
+}
+
 /** One row of the paper's Table 2 (symbolic, in terms of G/L/n). */
 struct Table2Row
 {

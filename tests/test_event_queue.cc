@@ -64,32 +64,6 @@ TEST(EventQueue, SameTickFifoOrder)
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, DescheduleRemovesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    Recorder a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.deschedule(&a);
-    EXPECT_FALSE(a.scheduled());
-    eq.simulate();
-    EXPECT_EQ(log, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, RescheduleMovesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    Recorder a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.reschedule(&a, 30);
-    eq.simulate();
-    EXPECT_EQ(log, (std::vector<int>{2, 1}));
-    EXPECT_EQ(eq.curTick(), 30u);
-}
-
 TEST(EventQueue, LambdaEventsRunAndAreReclaimed)
 {
     EventQueue eq;
@@ -149,33 +123,6 @@ TEST(EventQueue, CountsExecutedEvents)
         eq.schedule(i + 1, [] {});
     eq.simulate();
     EXPECT_EQ(eq.numExecuted(), 7u);
-}
-
-TEST(EventQueue, DescheduledEventCanBeDestroyedSafely)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    {
-        Recorder a(log, 1);
-        eq.schedule(&a, 10);
-        eq.deschedule(&a);
-        // 'a' destroyed here while a stale heap entry remains.
-    }
-    eq.simulate();
-    EXPECT_TRUE(log.empty());
-}
-
-TEST(EventQueue, RescheduleLeavesOnlyOneLiveOccurrence)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    Recorder a(log, 1);
-    eq.schedule(&a, 10);
-    eq.reschedule(&a, 20);
-    eq.reschedule(&a, 15);
-    eq.simulate();
-    EXPECT_EQ(log.size(), 1u);
-    EXPECT_EQ(eq.curTick(), 15u);
 }
 
 TEST(EventQueueFreeList, FiredOneShotsAreRecycledNotReallocated)
@@ -278,81 +225,6 @@ TEST(EventQueueFreeList, CapturedResourcesReleaseAfterFiring)
     EXPECT_TRUE(observer.expired());
 }
 
-// Regression: descheduling a queue-owned one-shot used to strand the
-// LambdaEvent behind its stale heap entry — its captured resources
-// stayed alive and the object never returned to the free-list. A
-// squashed one-shot is now released and recycled immediately.
-TEST(EventQueueFreeList, SquashedOneShotsAreRecycledImmediately)
-{
-    EventQueue eq;
-    int hits = 0;
-    Event *ev = eq.schedule(10, [&hits] { ++hits; });
-    EXPECT_EQ(eq.size(), 1u);
-    EXPECT_EQ(eq.freeListSize(), 0u);
-    eq.deschedule(ev);
-    // Back on the free-list right away, not at drain time.
-    EXPECT_EQ(eq.size(), 0u);
-    EXPECT_EQ(eq.freeListSize(), 1u);
-    // The next one-shot reuses the object instead of allocating.
-    eq.schedule(20, [&hits] { hits += 10; });
-    EXPECT_EQ(eq.ownedPoolSize(), 1u);
-    eq.simulate();
-    EXPECT_EQ(hits, 10);
-}
-
-TEST(EventQueueFreeList, SquashedOneShotReleasesCapturedResources)
-{
-    EventQueue eq;
-    auto token = std::make_shared<int>(7);
-    std::weak_ptr<int> observer = token;
-    Event *ev = eq.schedule(5, [t = std::move(token)] { (void)*t; });
-    eq.deschedule(ev);
-    // Captured resources drop at squash time, not when the slot is
-    // eventually reused.
-    EXPECT_TRUE(observer.expired());
-    eq.simulate();   // the squashed one-shot must not run
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueueFreeList, ScheduleSquashDrainKeepsInvariants)
-{
-    EventQueue eq;
-    int hits = 0;
-    std::vector<Event *> one_shots;
-    for (int i = 0; i < 16; ++i)
-        one_shots.push_back(eq.schedule(i + 1, [&hits] { ++hits; }));
-    // Squash every other one...
-    for (int i = 1; i < 16; i += 2)
-        eq.deschedule(one_shots[i]);
-    EXPECT_EQ(eq.size(), 8u);
-    EXPECT_EQ(eq.freeListSize(), 8u);
-    // ...drain the rest, and every object must be parked for reuse.
-    eq.simulate();
-    EXPECT_EQ(hits, 8);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.size(), 0u);
-    EXPECT_EQ(eq.ownedPoolSize(), 16u);
-    EXPECT_EQ(eq.freeListSize(), 16u);
-}
-
-TEST(EventQueueFreeList, SquashedSlotsServeNewWorkWithinTheSameTick)
-{
-    // A device pattern: schedule a drain, cancel it, schedule a
-    // replacement at a different tick, repeatedly. The pool must stay
-    // at one object and each replacement must run exactly once.
-    EventQueue eq;
-    int fired = 0;
-    for (int round = 0; round < 64; ++round) {
-        Event *ev = eq.schedule(eq.curTick() + 100, [] { FAIL(); });
-        eq.deschedule(ev);
-        eq.schedule(eq.curTick() + 1, [&fired] { ++fired; });
-        eq.step();
-    }
-    eq.simulate();
-    EXPECT_EQ(fired, 64);
-    EXPECT_EQ(eq.ownedPoolSize(), 1u);
-}
-
 TEST(EventQueue, MemberEventsAndOneShotsShareScheduleOrder)
 {
     // A device's member event (the CU tick) and queue-owned one-shots
@@ -369,16 +241,6 @@ TEST(EventQueue, MemberEventsAndOneShotsShareScheduleOrder)
     eq.schedule(10, [&log] { log.push_back(3); });
     eq.simulate();
     EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
-
-    // Re-armed at the same tick after a one-shot: order follows the
-    // re-arm, not the member's first schedule.
-    log.clear();
-    eq.schedule(&member, 20);
-    eq.schedule(20, [&log] { log.push_back(1); });
-    eq.reschedule(&member, 20);
-    eq.schedule(20, [&log] { log.push_back(3); });
-    eq.simulate();
-    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueClear, DropsPendingEventsAndReleasesCaptures)
@@ -390,15 +252,11 @@ TEST(EventQueueClear, DropsPendingEventsAndReleasesCaptures)
     eq.simulate();
     auto member = std::make_unique<Recorder>(log, 1);
     eq.schedule(member.get(), 50);
+    // The first one-shot re-arms the recycled object from tick 5.
     eq.schedule(40, [t = token] { FAIL() << "cleared one-shot ran"; });
     eq.schedule(60, [t = token] { FAIL() << "cleared one-shot ran"; });
-    // A squashed one-shot's recycled object is pending again under a
-    // newer sequence.
-    Event *squashed = eq.schedule(70, [t = token] {});
-    eq.deschedule(squashed);
-    eq.schedule(80, [t = token] { FAIL() << "cleared one-shot ran"; });
-    ASSERT_EQ(eq.size(), 4u);
-    ASSERT_EQ(token.use_count(), 4);
+    ASSERT_EQ(eq.size(), 3u);
+    ASSERT_EQ(token.use_count(), 3);
 
     eq.clear();
     EXPECT_EQ(eq.size(), 0u);
@@ -406,7 +264,7 @@ TEST(EventQueueClear, DropsPendingEventsAndReleasesCaptures)
     EXPECT_EQ(eq.curTick(), 5u);
     EXPECT_FALSE(member->scheduled());
     EXPECT_EQ(token.use_count(), 1) << "cleared captures still held";
-    // Every one-shot is parked exactly once, the re-used one included.
+    // Every one-shot is parked exactly once, the recycled one included.
     EXPECT_EQ(eq.freeListSize(), eq.ownedPoolSize());
     // Destroying the member's owner must not trip Event::~Event.
     member.reset();
@@ -438,7 +296,7 @@ TEST(EventQueueWheel, FarEventsJoinTheWheelBeforeTheNextEventRuns)
     // Tick 200,000 lies past the wheel's 131,072-tick span at tick 0
     // and inside it at tick 100,000. The event running at 100,000 sees
     // the far event already on the wheel: a schedule for the same tick
-    // runs after it, and a deschedule takes it off the wheel.
+    // runs after it.
     EventQueue eq;
     std::vector<int> log;
     Recorder far(log, 1);
@@ -448,14 +306,6 @@ TEST(EventQueueWheel, FarEventsJoinTheWheelBeforeTheNextEventRuns)
     });
     eq.simulate();
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
-
-    log.clear();
-    eq.schedule(&far, 400'000);
-    eq.schedule(300'000, [&] { eq.deschedule(&far); });
-    eq.simulate();
-    EXPECT_TRUE(log.empty());
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.curTick(), 300'000u);
 }
 
 // ---------------------------------------------------------------
@@ -466,14 +316,13 @@ TEST(EventQueueWheel, FarEventsJoinTheWheelBeforeTheNextEventRuns)
 using Fired = std::pair<Tick, int>;
 
 /**
- * The single sorted structure the queue must match: every entry,
- * stale ones included, ordered by (when, sequence). Members re-arm
- * themselves on firing as the real ones do.
+ * The single sorted structure the queue must match: every pending
+ * event, ordered by (when, sequence). Members re-arm themselves on
+ * firing as the real ones do.
  */
 struct ReferenceQueue
 {
     std::set<std::tuple<Tick, std::uint64_t, int>> entries;
-    std::map<int, std::uint64_t> live;  //!< id -> pending sequence
     std::map<int, std::pair<Tick, int>> rearm;  //!< member: delay, left
     Tick now = 0;
     std::uint64_t nextSequence = 0;
@@ -482,25 +331,18 @@ struct ReferenceQueue
     void
     schedule(int id, Tick when)
     {
-        entries.insert({when, nextSequence, id});
-        live[id] = nextSequence++;
+        entries.insert({when, nextSequence++, id});
     }
 
-    /** Run what is due by @p limit; with @p one, one live event. */
+    /** Run what is due by @p limit; with @p one, one event. */
     void
     simulate(Tick limit, std::vector<Fired> &log, bool one = false)
     {
         while (!entries.empty()) {
             auto [when, seq, id] = *entries.begin();
-            auto it = live.find(id);
-            if (it == live.end() || it->second != seq) {
-                entries.erase(entries.begin());  // stale
-                continue;
-            }
             if (when > limit)
                 return;
             entries.erase(entries.begin());
-            live.erase(it);
             now = when;
             ++executed;
             log.push_back({when, id});
@@ -561,30 +403,20 @@ runLaneDifferential(std::uint64_t seed, const std::vector<Tick> &delays,
     ReferenceQueue ref;
     for (int i = 0; i < numMembers; ++i)
         members.push_back(std::make_unique<RearmingMember>(eq, log, i));
-    std::map<int, Event *> one_shots;  // pending id -> handle
     int next_one_shot = numMembers;
 
     auto pick_delay = [&] { return delays[rng.uniform(delays.size())]; };
-    // A pending event, member or one-shot, chosen uniformly.
-    auto pick_pending = [&]() -> std::pair<int, Event *> {
-        if (ref.live.empty())
-            return {-1, nullptr};
-        auto it = ref.live.begin();
-        std::advance(it, rng.uniform(ref.live.size()));
-        const int id = it->first;
-        return {id, id < numMembers ? members[id].get() : one_shots[id]};
-    };
 
     for (int op = 0; op < 20'000; ++op) {
         const std::uint64_t roll = rng.uniform(100);
-        if (roll < 35) {
+        if (roll < 40) {
             const int id = next_one_shot++;
             const Tick when = eq.curTick() + pick_delay();
-            one_shots[id] = eq.schedule(when, [&log, &eq, id] {
+            eq.schedule(when, [&log, &eq, id] {
                 log.push_back({eq.curTick(), id});
             });
             ref.schedule(id, when);
-        } else if (roll < 55) {
+        } else if (roll < 65) {
             const int id = static_cast<int>(rng.uniform(numMembers));
             if (members[id]->scheduled())
                 continue;
@@ -594,42 +426,24 @@ runLaneDifferential(std::uint64_t seed, const std::vector<Tick> &delays,
             const Tick when = eq.curTick() + pick_delay();
             eq.schedule(members[id].get(), when);
             ref.schedule(id, when);
-        } else if (roll < 65) {
-            auto [id, ev] = pick_pending();
-            if (!ev)
-                continue;
-            eq.deschedule(ev);
-            ref.live.erase(id);
-        } else if (roll < 75) {
-            auto [id, ev] = pick_pending();
-            if (!ev)
-                continue;
-            const Tick when = eq.curTick() + pick_delay();
-            eq.reschedule(ev, when);
-            ref.schedule(id, when);
         } else if (roll < 96) {
             const Tick limit = eq.curTick() + rng.uniform(maxAdvance);
             eq.simulate(limit);
             ref.simulate(limit, ref_log);
         } else if (roll < 99) {
-            EXPECT_EQ(eq.step(), !ref.live.empty());
+            EXPECT_EQ(eq.step(), !ref.entries.empty());
             ref.simulate(maxTick, ref_log, /*one=*/true);
         } else {
             eq.clear();
             ref.entries.clear();
-            ref.live.clear();
         }
-        // Fired one-shots and squashed handles are gone for good.
-        std::erase_if(one_shots, [&](const auto &entry) {
-            return !ref.live.contains(entry.first);
-        });
 
         ASSERT_EQ(log, ref_log) << "seed " << seed << ", op " << op;
         log.clear();
         ref_log.clear();
         ASSERT_EQ(eq.curTick(), ref.now) << "op " << op;
-        ASSERT_EQ(eq.size(), ref.live.size()) << "op " << op;
-        ASSERT_EQ(eq.empty(), ref.live.empty()) << "op " << op;
+        ASSERT_EQ(eq.size(), ref.entries.size()) << "op " << op;
+        ASSERT_EQ(eq.empty(), ref.entries.empty()) << "op " << op;
         ASSERT_EQ(eq.numExecuted(), ref.executed) << "op " << op;
     }
     eq.simulate();
@@ -643,7 +457,7 @@ runLaneDifferential(std::uint64_t seed, const std::vector<Tick> &delays,
 TEST(EventQueueLanes, MatchesASortedReferenceUnderRandomOperations)
 {
     // Fourteen short delays: several ticks share a 256-tick bucket,
-    // so inserts walk back past later ticks.
+    // so inserts walk from the bucket's head past later ticks.
     const std::vector<Tick> near = {0,  1,  2,   3,   5,    7,      8,
                                     13, 64, 100, 500, 2000, 25'000, 73'000};
     for (std::uint64_t seed : {1, 2, 3}) {

@@ -2,14 +2,15 @@
  * @file
  * Property tests for the Carter-Wegman universal hashing behind the
  * SyncMon condition cache and Bloom filters, plus a randomized
- * model check of the event queue (schedule/deschedule against a
+ * model check of the event queue (schedule and step against a
  * reference implementation).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <set>
+#include <tuple>
 
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -67,9 +68,9 @@ TEST(UniversalHash, StaysBelowMersennePrime)
 }
 
 /**
- * Randomized model check: drive the event queue with random
- * schedule/deschedule/reschedule operations and verify execution
- * order against a multimap reference model.
+ * Randomized model check: drive the event queue with random schedule
+ * and step operations and verify execution order against a sorted
+ * reference model.
  */
 TEST(EventQueueModel, RandomizedAgainstReference)
 {
@@ -88,11 +89,10 @@ TEST(EventQueueModel, RandomizedAgainstReference)
 
         constexpr int n = 64;
         std::vector<Rec> events(n);
-        // Reference: id -> scheduled tick (present iff scheduled).
-        std::map<int, sim::Tick> model;
-        // Insertion order for same-tick FIFO tie-breaking.
-        std::map<int, std::uint64_t> order;
+        // Reference: pending (tick, schedule sequence, id) in run order.
+        std::set<std::tuple<sim::Tick, std::uint64_t, int>> model;
         std::uint64_t seq = 0;
+        std::vector<int> expected;
 
         for (int i = 0; i < n; ++i) {
             events[i].log = &executed;
@@ -103,34 +103,22 @@ TEST(EventQueueModel, RandomizedAgainstReference)
             int idx = static_cast<int>(rng.uniform(n));
             Rec &ev = events[idx];
             if (!ev.scheduled()) {
-                sim::Tick when = 1 + rng.uniform(1000);
+                sim::Tick when = eq.curTick() + rng.uniform(1000);
                 eq.schedule(&ev, when);
-                model[idx] = when;
-                order[idx] = seq++;
-            } else if (rng.uniform(2) == 0) {
-                eq.deschedule(&ev);
-                model.erase(idx);
+                model.insert({when, seq++, idx});
             } else {
-                sim::Tick when = 1 + rng.uniform(1000);
-                eq.reschedule(&ev, when);
-                model[idx] = when;
-                order[idx] = seq++;
+                // A picked pending event runs the queue one step.
+                EXPECT_TRUE(eq.step());
+                expected.push_back(std::get<2>(*model.begin()));
+                model.erase(model.begin());
             }
         }
 
         EXPECT_EQ(eq.size(), model.size());
         eq.simulate();
 
-        // Expected order: by tick, then by (re)schedule sequence.
-        std::vector<int> expected;
-        for (const auto &[idx, when] : model)
-            expected.push_back(idx);
-        std::sort(expected.begin(), expected.end(),
-                  [&](int a, int b) {
-                      if (model[a] != model[b])
-                          return model[a] < model[b];
-                      return order[a] < order[b];
-                  });
+        for (const auto &entry : model)
+            expected.push_back(std::get<2>(entry));
         EXPECT_EQ(executed, expected) << "round " << round;
     }
 }

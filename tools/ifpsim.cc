@@ -273,9 +273,10 @@ main(int argc, char **argv)
         core::GpuSystem scratch(exp.runCfg);
         workloads::WorkloadPtr w = workloads::makeWorkload(
             exp.workload);
-        workloads::WorkloadParams params = exp.params;
-        params.style = core::styleFor(exp.policy);
-        isa::Kernel kernel = w->build(scratch, params);
+        core::PolicyConfig policy = exp.runCfg.policy;
+        policy.policy = exp.policy;
+        isa::Kernel kernel = w->build(
+            scratch, workloads::paramsForPolicy(exp.params, policy));
         std::cout << "; kernel " << kernel.name << " ("
                   << kernel.code.size() << " instructions, "
                   << kernel.numWgs << " WGs x " << kernel.wiPerWg

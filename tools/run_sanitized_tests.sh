@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Build the tree with CMAKE_BUILD_TYPE=Sanitize (ASan + UBSan, fatal
-# on first finding) and run the tier-1 unit/integration suite under
-# it. A clean exit means the suite is free of memory errors and UB on
-# the paths the tests exercise; any sanitizer report fails the run.
+# on first finding) and run every ctest case under it: the unit and
+# integration suite under tests/ and the cases registered under
+# bench/ (sweep parity, which runs sweeps on several threads, the
+# trace smoke and the microbenchmark smokes). A clean exit means the
+# suite is free of memory errors and UB on the paths the tests
+# exercise; any sanitizer report fails the run.
 #
 # The sanitized tree lives in its own build directory so it never
 # disturbs the primary build. Not part of the default ctest run
@@ -35,4 +38,4 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="print_stacktrace=1"
 
-ctest --test-dir "$BUILD_DIR/tests" --output-on-failure -j "$JOBS" "$@"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" "$@"
