@@ -55,7 +55,7 @@ BM_L2AtomicRoundTrip(benchmark::State &state)
     mem::MemRequestPool pool;
     sim::EventQueue eq;
     mem::BackingStore store;
-    mem::Dram dram("dram", eq, mem::DramConfig{});
+    mem::Dram dram("dram", eq);
     mem::L2Cache l2("l2", eq, mem::L2Config{}, dram, store, pool);
     std::uint64_t ops = 0;
     for (auto _ : state) {

@@ -20,46 +20,52 @@ main()
     harness::TextTable t({"Parameter", "Value"});
     t.addRow({"Compute Units", std::to_string(g.numCus)});
     t.addRow({"Clock",
-              std::to_string(sim::ticksPerSecond / g.clockPeriod /
+              std::to_string(sim::ticksPerSecond / sim::gpuClockPeriod /
                              1'000'000'000ULL) +
                   " GHz"});
     t.addRow({"SIMD units / CU", std::to_string(g.simdsPerCu)});
-    t.addRow({"SIMD width", std::to_string(g.simdWidth)});
+    t.addRow({"SIMD width", std::to_string(isa::wavefrontSize)});
     t.addRow({"Wavefronts / SIMD",
               std::to_string(g.wavefrontsPerSimd)});
     t.addRow({"LDS / CU",
-              std::to_string(g.ldsBytesPerCu / 1024) + " KB"});
+              std::to_string(gpu::ldsBytesPerCu / 1024) + " KB"});
     t.addRow({"L1 / CU",
               std::to_string(g.l1.sizeBytes / 1024) + " KB, " +
                   std::to_string(g.l1.assoc) + "-way, " +
-                  std::to_string(g.l1.hitLatency) + " cycles"});
+                  std::to_string(mem::l1HitLatency) + " cycles"});
     t.addRow({"L2 shared",
               std::to_string(g.l2.sizeBytes / 1024) + " KB, " +
                   std::to_string(g.l2.assoc) + "-way, " +
-                  std::to_string(g.l2.hitLatency) + " cycles, " +
-                  std::to_string(g.l2.banks) + " banks"});
+                  std::to_string(mem::l2HitLatency) + " cycles, " +
+                  std::to_string(mem::l2Banks) + " banks"});
     t.addRow({"L2 same-line atomic turnaround",
               std::to_string(g.l2.sameLineAtomicGapCycles) +
                   " cycles"});
     t.addRow({"DRAM",
-              std::to_string(g.dram.channels) + " channels, " +
-                  std::to_string(g.dram.accessLatency) +
+              std::to_string(mem::dramChannels) + " channels, " +
+                  std::to_string(mem::dramAccessLatency) +
                   "-cycle access @ 1 GHz"});
-    t.addRow({"Cacheline", std::to_string(g.l2.lineBytes) + " B"});
+    t.addRow({"Cacheline", std::to_string(mem::cacheLineBytes) + " B"});
     bench::printTable(t);
 
     // Guard the Table 1 parameters against accidental drift.
     ifp_assert(g.numCus == 8, "Table 1: 8 CUs");
+    ifp_assert(sim::ticksPerSecond / sim::gpuClockPeriod ==
+                   2'000'000'000ULL,
+               "Table 1: 2 GHz GPU clock");
     ifp_assert(g.simdsPerCu == 2, "Table 1: 2 SIMDs per CU");
-    ifp_assert(g.simdWidth == 64, "Table 1: SIMD width 64");
+    ifp_assert(isa::wavefrontSize == 64, "Table 1: SIMD width 64");
     ifp_assert(g.wavefrontsPerSimd == 20,
                "Table 1: 20 wavefronts per SIMD");
-    ifp_assert(g.l1.sizeBytes == 32 * 1024 && g.l1.hitLatency == 30,
+    ifp_assert(g.l1.sizeBytes == 32 * 1024 && mem::l1HitLatency == 30,
                "Table 1: 32KB / 30-cycle L1");
     ifp_assert(g.l2.sizeBytes == 512 * 1024 && g.l2.assoc == 16 &&
-               g.l2.hitLatency == 50,
+               mem::l2HitLatency == 50,
                "Table 1: 512KB 16-way 50-cycle L2");
-    ifp_assert(g.dram.channels == 4, "Table 1: 4 DRAM channels");
+    ifp_assert(mem::dramChannels == 4 &&
+                   sim::ticksPerSecond / mem::dramClockPeriod ==
+                       1'000'000'000ULL,
+               "Table 1: 4 DRAM channels at 1 GHz");
     std::cout << "\nAll Table 1 parameters verified.\n";
     return 0;
 }

@@ -270,18 +270,6 @@ Cfg::computePostDominators()
         ipdoms[id] = pd[id] == exitId ? exitId : pd[id];
 }
 
-bool
-Cfg::postDominates(int through, int from) const
-{
-    const int exitId = static_cast<int>(bbs.size());
-    for (int walk = from; walk >= 0 && walk != exitId;
-         walk = ipdoms[walk]) {
-        if (walk == through)
-            return true;
-    }
-    return false;
-}
-
 void
 Cfg::findLoops()
 {
@@ -327,19 +315,6 @@ Cfg::findLoops()
                       return a.blocks.size() > b.blocks.size();
                   return a.head < b.head;
               });
-}
-
-const Loop *
-Cfg::innermostLoop(int block) const
-{
-    const Loop *best = nullptr;
-    for (const Loop &loop : loopList) {
-        if (loop.contains(block) &&
-            (!best || loop.blocks.size() < best->blocks.size())) {
-            best = &loop;
-        }
-    }
-    return best;
 }
 
 std::vector<bool>

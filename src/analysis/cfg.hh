@@ -57,7 +57,6 @@ class Cfg
     const std::vector<isa::Instr> &code() const { return instrs; }
     const std::vector<BasicBlock> &blocks() const { return bbs; }
     const BasicBlock &block(int id) const { return bbs[id]; }
-    std::size_t numBlocks() const { return bbs.size(); }
 
     /** Block containing @p pc (-1 when pc is out of range). */
     int blockOf(std::size_t pc) const;
@@ -80,17 +79,8 @@ class Cfg
      */
     int ipdom(int block) const { return ipdoms[block]; }
 
-    /**
-     * True when every path from block @p from to the kernel's exit
-     * passes through block @p through (reflexive).
-     */
-    bool postDominates(int through, int from) const;
-
     /** Natural loops (one per back edge), outermost first. */
     const std::vector<Loop> &loops() const { return loopList; }
-
-    /** Innermost loop containing @p block, or nullptr. */
-    const Loop *innermostLoop(int block) const;
 
     /**
      * Blocks reachable from @p from following forward edges only,

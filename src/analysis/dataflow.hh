@@ -127,12 +127,6 @@ class Dataflow
     const Cfg &cfg() const { return graph; }
     const LaunchContext &launch() const { return ctx; }
 
-    /** Register environment just before @p pc executes. */
-    const AbstractState &stateBefore(std::size_t pc) const
-    {
-        return states[pc];
-    }
-
     /** Interval of r[@p reg] just before @p pc. */
     Interval value(std::size_t pc, isa::Reg reg) const
     {
@@ -157,9 +151,6 @@ class Dataflow
      * -1 denotes the entry (launch-initialized) definition.
      */
     std::vector<int> reachingDefs(std::size_t pc, isa::Reg reg) const;
-
-    /** The entry environment (for kernel-level queries). */
-    const AbstractState &entryState() const { return entry; }
 
   private:
     AbstractState transfer(const AbstractState &in,

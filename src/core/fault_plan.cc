@@ -40,19 +40,6 @@ faultKindWindowed(FaultKind kind)
     return false;
 }
 
-int
-FaultPlan::maxCuId() const
-{
-    int max_id = -1;
-    for (const FaultEvent &ev : events) {
-        if (ev.kind == FaultKind::CuOffline ||
-            ev.kind == FaultKind::CuOnline) {
-            max_id = std::max(max_id, ev.cuId);
-        }
-    }
-    return max_id;
-}
-
 bool
 FaultPlan::losesCu() const
 {
@@ -77,12 +64,32 @@ FaultPlan::cuLoss(std::uint64_t loss_us, std::uint64_t restore_us,
     return plan;
 }
 
+namespace {
+
+/// @name The chaos generator's fault mix
+/// @{
+/** Earliest and latest fault injection times, microseconds. */
+constexpr std::uint64_t chaosStartUs = 5;
+constexpr std::uint64_t chaosHorizonUs = 120;
+/** Offline/online churn pairs to attempt. */
+constexpr unsigned chaosChurnPairs = 3;
+/** CU offline window bounds, microseconds. */
+constexpr std::uint64_t chaosMinOfflineUs = 10;
+constexpr std::uint64_t chaosMaxOfflineUs = 40;
+/** Per-plan probabilities of the non-churn fault windows. */
+constexpr double chaosPressureProb = 0.5;
+constexpr double chaosLogJamProb = 0.35;
+constexpr double chaosDropResumeProb = 0.5;
+constexpr double chaosDelayResumeProb = 0.35;
+constexpr double chaosCpStallProb = 0.35;
+/// @}
+
+} // anonymous namespace
+
 FaultPlan
-generateChaosPlan(const ChaosSpec &spec, std::uint64_t seed)
+generateChaosPlan(unsigned num_cus, std::uint64_t seed)
 {
-    ifp_assert(spec.numCus > 0, "chaos plan for a zero-CU machine");
-    ifp_assert(spec.horizonUs > spec.startUs,
-               "chaos horizon before its start");
+    ifp_assert(num_cus > 0, "chaos plan for a zero-CU machine");
     sim::Rng rng(seed);
 
     FaultPlan plan;
@@ -100,11 +107,11 @@ generateChaosPlan(const ChaosSpec &spec, std::uint64_t seed)
         std::uint64_t to;
     };
     std::vector<Churn> churn;
-    for (unsigned i = 0; i < spec.churnPairs; ++i) {
+    for (unsigned i = 0; i < chaosChurnPairs; ++i) {
         Churn c;
-        c.cu = static_cast<unsigned>(rng.uniform(spec.numCus));
-        c.from = rng.range(spec.startUs, spec.horizonUs);
-        c.to = c.from + rng.range(spec.minOfflineUs, spec.maxOfflineUs);
+        c.cu = static_cast<unsigned>(rng.uniform(num_cus));
+        c.from = rng.range(chaosStartUs, chaosHorizonUs);
+        c.to = c.from + rng.range(chaosMinOfflineUs, chaosMaxOfflineUs);
 
         bool overlap_self = false;
         std::vector<unsigned> overlapping;
@@ -123,7 +130,7 @@ generateChaosPlan(const ChaosSpec &spec, std::uint64_t seed)
         }
         if (overlap_self)
             continue;
-        if (overlapping.size() + 2 > spec.numCus)
+        if (overlapping.size() + 2 > num_cus)
             continue;  // would leave no CU online
         churn.push_back(c);
     }
@@ -139,17 +146,17 @@ generateChaosPlan(const ChaosSpec &spec, std::uint64_t seed)
         // Consume the randomness unconditionally so each fault class
         // draws from a fixed position in the stream.
         double roll = rng.real();
-        std::uint64_t at = rng.range(spec.startUs, spec.horizonUs);
+        std::uint64_t at = rng.range(chaosStartUs, chaosHorizonUs);
         std::uint64_t dur = rng.range(min_dur, max_dur);
         if (roll < prob)
             plan.events.push_back({kind, at, dur, -1, param});
     };
-    window(FaultKind::SyncMonPressure, spec.pressureProb, 20, 60, 0);
-    window(FaultKind::LogJam, spec.logJamProb, 10, 30, 0);
-    window(FaultKind::DropResume, spec.dropResumeProb, 10, 30, 0);
-    window(FaultKind::DelayResume, spec.delayResumeProb, 10, 30,
+    window(FaultKind::SyncMonPressure, chaosPressureProb, 20, 60, 0);
+    window(FaultKind::LogJam, chaosLogJamProb, 10, 30, 0);
+    window(FaultKind::DropResume, chaosDropResumeProb, 10, 30, 0);
+    window(FaultKind::DelayResume, chaosDelayResumeProb, 10, 30,
            rng.range(2'000, 16'000));
-    window(FaultKind::CpStall, spec.cpStallProb, 5, 20, 0);
+    window(FaultKind::CpStall, chaosCpStallProb, 5, 20, 0);
 
     std::stable_sort(plan.events.begin(), plan.events.end(),
                      [](const FaultEvent &a, const FaultEvent &b) {

@@ -78,9 +78,6 @@ struct FaultPlan
 
     bool empty() const { return events.empty(); }
 
-    /** Largest CU id referenced by a churn event, or -1. */
-    int maxCuId() const;
-
     /**
      * Whether the plan takes a CU offline: the run is oversubscribed
      * (the "oversubscribed" results field and the {scenario} path
@@ -100,36 +97,15 @@ struct FaultPlan
                             int cu_id = -1);
 };
 
-/** Knobs of the seeded chaos generator. */
-struct ChaosSpec
-{
-    /** CUs of the target machine (bounds churn targets). */
-    unsigned numCus = 8;
-    /** Earliest fault injection time, microseconds. */
-    std::uint64_t startUs = 5;
-    /** Latest fault injection time, microseconds. */
-    std::uint64_t horizonUs = 120;
-    /** Offline/online churn pairs to attempt. */
-    unsigned churnPairs = 3;
-    /** CU offline window bounds, microseconds. */
-    std::uint64_t minOfflineUs = 10;
-    std::uint64_t maxOfflineUs = 40;
-    /** Per-plan probabilities of the non-churn fault windows. */
-    double pressureProb = 0.5;
-    double logJamProb = 0.35;
-    double dropResumeProb = 0.5;
-    double delayResumeProb = 0.35;
-    double cpStallProb = 0.35;
-};
-
 /**
- * Generate a survivable random plan from @p seed. Deterministic:
- * the same (spec, seed) always yields the same plan. Churn pairs
- * that would leave fewer than one CU online are dropped, and every
- * offline edge has a matching later online edge, so policies with
- * swap-in firmware and live rescue timeouts can always finish.
+ * Generate a survivable random plan for a @p num_cus machine from
+ * @p seed. Deterministic: the same (num_cus, seed) always yields the
+ * same plan. Churn pairs that would leave fewer than one CU online
+ * are dropped, and every offline edge has a matching later online
+ * edge, so policies with swap-in firmware and live rescue timeouts
+ * can always finish.
  */
-FaultPlan generateChaosPlan(const ChaosSpec &spec, std::uint64_t seed);
+FaultPlan generateChaosPlan(unsigned num_cus, std::uint64_t seed);
 
 /** Named preset plans for the CLI; fatal on an unknown name. */
 FaultPlan faultPlanPreset(const std::string &name);

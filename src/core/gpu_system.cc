@@ -1,6 +1,8 @@
 #include "core/gpu_system.hh"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -61,6 +63,27 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
             std::to_string(gpu::maxWavefrontsPerSimd));
     }
 
+    if (cfg.policy.timeoutIntervalCycles == 0)
+        throw std::invalid_argument(
+            "PolicyConfig::timeoutIntervalCycles is 0; it must be "
+            "positive");
+    if (cfg.policy.sleepMaxBackoffCycles == 0 ||
+        cfg.policy.sleepMaxBackoffCycles >
+            static_cast<sim::Cycles>(
+                std::numeric_limits<std::int64_t>::max())) {
+        throw std::invalid_argument(
+            "PolicyConfig::sleepMaxBackoffCycles is " +
+            std::to_string(cfg.policy.sleepMaxBackoffCycles) +
+            "; it must be in 1.." +
+            std::to_string(std::numeric_limits<std::int64_t>::max()));
+    }
+    if (!std::has_single_bit(cfg.policy.syncmon.sets)) {
+        throw std::invalid_argument(
+            "SyncMonConfig::sets is " +
+            std::to_string(cfg.policy.syncmon.sets) +
+            "; it must be a power of two");
+    }
+
     int num_cus = static_cast<int>(cfg.gpu.numCus);
     for (const FaultEvent &ev : cfg.faultPlan.events) {
         if (ev.kind != FaultKind::CuOffline &&
@@ -75,15 +98,15 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
         }
     }
 
-    dram = std::make_unique<mem::Dram>("dram", eq, cfg.gpu.dram);
+    dram = std::make_unique<mem::Dram>("dram", eq);
     l2cache = std::make_unique<mem::L2Cache>("l2", eq, cfg.gpu.l2,
                                              *dram, store, pool);
-    dma = std::make_unique<mem::DmaEngine>("dma", eq, cfg.gpu.dma);
+    dma = std::make_unique<mem::DmaEngine>("dma", eq);
     cp = std::make_unique<cp::CommandProcessor>("cp", eq, cfg.cp, *dma,
                                                 store, l2cache.get(),
                                                 &pool);
     dispatch = std::make_unique<gpu::Dispatcher>(
-        "dispatcher", eq, cfg.gpu, *cp, cp->admissionScheduler());
+        "dispatcher", eq, *cp, cp->admissionScheduler());
 
     for (unsigned i = 0; i < cfg.gpu.numCus; ++i) {
         std::string cu_name = "cu" + std::to_string(i);
@@ -174,7 +197,7 @@ GpuSystem::lintKernel(const isa::Kernel &kernel) const
     if (cfg.dispatch.lintBeforeDispatch) {
         analysis::LaunchContext launch = analysis::makeLaunchContext(
             kernel, cfg.gpu.numCus, cfg.gpu.simdsPerCu,
-            cfg.gpu.wavefrontsPerSimd, cfg.gpu.ldsBytesPerCu);
+            cfg.gpu.wavefrontsPerSimd, gpu::ldsBytesPerCu);
         analysis::Report report = analysis::runLint(kernel, launch);
         if (!report.diagnostics.empty()) {
             std::ostringstream os;
@@ -227,7 +250,7 @@ GpuSystem::serve(const Validator &validator)
     ServeResult serve_result;
     serve_result.run = finishRun(validator);
 
-    sim::Tick period = cfg.gpu.clockPeriod;
+    const sim::Tick period = sim::gpuClockPeriod;
     for (const auto &ctx : dispatch->dispatchContexts()) {
         KernelRunStat ks;
         ks.ctxId = ctx->id;
@@ -273,9 +296,8 @@ GpuSystem::finishRun(const Validator &validator)
     RunResult result;
     scheduleFaults();
 
-    const sim::Tick window =
-        cfg.deadlockWindowCycles * cfg.gpu.clockPeriod;
-    const sim::Tick budget = cfg.maxCycles * cfg.gpu.clockPeriod;
+    const sim::Tick window = cfg.deadlockWindowCycles * sim::gpuClockPeriod;
+    const sim::Tick budget = cfg.maxCycles * sim::gpuClockPeriod;
 
     // Arrivals keep serving runs with sparse arrivals from tripping
     // the deadlock detector: a kernel arriving inside a window is
@@ -290,7 +312,7 @@ GpuSystem::finishRun(const Validator &validator)
                dispatch->numArrivedContexts();
     };
 
-    LivenessOracle oracle(cfg.liveness, cfg.gpu.clockPeriod,
+    LivenessOracle oracle(LivenessConfig{}, sim::gpuClockPeriod,
                           cfg.deadlockWindowCycles);
 
     std::uint64_t last_sig = progress_sig();
@@ -333,7 +355,7 @@ GpuSystem::finishRun(const Validator &validator)
         result.runTicks = eq.curTick();
     }
     result.lostWakeups = oracle.lostWakeups();
-    result.gpuCycles = result.runTicks / cfg.gpu.clockPeriod;
+    result.gpuCycles = result.runTicks / sim::gpuClockPeriod;
 
     // Close the stall-reason books (completed WGs already closed at
     // their completeTick; survivors are charged up to the run's end)
@@ -492,7 +514,7 @@ GpuSystem::harvest(RunResult &result) const
             s.scalar("sleeps").value());
     }
 
-    sim::Tick period = cfg.gpu.clockPeriod;
+    const sim::Tick period = sim::gpuClockPeriod;
     sim::Tick first_done = sim::maxTick, last_done = 0;
     for (const auto &wg : dispatch->workgroups()) {
         if (wg->completeTick > 0) {
@@ -584,17 +606,7 @@ GpuSystem::harvest(RunResult &result) const
 void
 GpuSystem::dumpStats(std::ostream &os) const
 {
-    dram->stats().dump(os);
-    l2cache->stats().dump(os);
-    dma->stats().dump(os);
-    cp->stats().dump(os);
-    dispatch->stats().dump(os);
-    for (const auto &l1 : l1s)
-        l1->stats().dump(os);
-    for (const auto &cu : cus)
-        cu->stats().dump(os);
-    if (monitor)
-        monitor->stats().dump(os);
+    forEachStatGroup([&os](const sim::StatGroup &g) { g.dump(os); });
 }
 
 void

@@ -78,9 +78,6 @@ struct RunConfig
      */
     FaultPlan faultPlan;
 
-    /** Liveness-oracle configuration (core/liveness.hh). */
-    LivenessConfig liveness;
-
     /**
      * Schedule-choice oracle (sim/sched_oracle.hh), non-owning; must
      * outlive the run. Null (the default) keeps the stock
@@ -160,12 +157,15 @@ class GpuSystem
 {
   public:
     /**
-     * Composes the machine. Throws std::invalid_argument when the
-     * fault plan references a CU the machine does not have (a churn
-     * target out of range) or the CU geometry is out of range (no
-     * SIMD, or wavefrontsPerSimd outside 1..gpu::maxWavefrontsPerSimd)
-     * — the construction-time errors a caller can usefully catch,
-     * unlike the internal ifp_fatal paths.
+     * Composes the machine. Throws std::invalid_argument, naming the
+     * field, when the fault plan references a CU the machine does not
+     * have (a churn target out of range), the CU geometry is out of
+     * range (no SIMD, or wavefrontsPerSimd outside
+     * 1..gpu::maxWavefrontsPerSimd), the Timeout interval is 0, the
+     * Sleep backoff cap is outside 1..INT64_MAX (the cap the kernel
+     * loads into a signed register), or the SyncMon set count is not
+     * a power of two — the construction-time errors a caller can
+     * usefully catch, unlike the internal ifp_fatal paths.
      */
     explicit GpuSystem(const RunConfig &cfg);
     ~GpuSystem();

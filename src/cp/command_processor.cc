@@ -6,17 +6,27 @@
 
 namespace ifp::cp {
 
+namespace {
+
+/** Period of the firmware's housekeeping loop, in GPU cycles. */
+constexpr sim::Cycles checkIntervalCycles = 2000;
+/** Monitor Log entries drained per housekeeping pass. */
+constexpr unsigned logDrainPerCheck = 64;
+/** Monitor Log base address in global memory. */
+constexpr mem::Addr monitorLogBase = 0x4000'0000ULL;
+
+} // anonymous namespace
+
 CommandProcessor::CommandProcessor(std::string name, sim::EventQueue &eq,
                                    const CpConfig &cfg,
                                    mem::DmaEngine &dma_engine,
                                    mem::BackingStore &backing,
                                    mem::MemDevice *l2,
                                    mem::MemRequestPool *request_pool)
-    : Clocked(std::move(name), eq, cfg.clockPeriod),
-      config(cfg),
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
       dma(dma_engine),
       store(backing),
-      log(cfg.monitorLogBase, cfg.monitorLogCapacity, backing, l2,
+      log(monitorLogBase, cfg.monitorLogCapacity, backing, l2,
           request_pool),
       admScheduler(cfg.admission),
       statGroup(this->name()),
@@ -127,7 +137,7 @@ CommandProcessor::ensureHousekeeping()
     if (housekeepingScheduled || !hasWork())
         return;
     housekeepingScheduled = true;
-    eventq().schedule(clockEdge(config.checkIntervalCycles),
+    eventq().schedule(clockEdge(checkIntervalCycles),
                       [this] { housekeeping(); },
                       "cp.housekeeping");
 }
@@ -148,7 +158,7 @@ CommandProcessor::housekeeping()
 
     // 1. Drain the Monitor Log into the lookup-efficient table.
     unsigned drained = 0;
-    for (unsigned i = 0; i < config.logDrainPerCheck; ++i) {
+    for (unsigned i = 0; i < logDrainPerCheck; ++i) {
         auto entry = log.pop();
         if (!entry)
             break;

@@ -42,17 +42,8 @@ namespace ifp::cp {
 /** CP firmware configuration. */
 struct CpConfig
 {
-    /** Period of the firmware's housekeeping loop, in GPU cycles. */
-    sim::Cycles checkIntervalCycles = 2000;
-    /** Monitor Log entries drained per housekeeping pass. */
-    unsigned logDrainPerCheck = 64;
     /** Monitor Log capacity, in entries. */
     unsigned monitorLogCapacity = 4096;
-    /** Monitor Log base address in global memory. */
-    mem::Addr monitorLogBase = 0x4000'0000ULL;
-    /** Context store base address in global memory. */
-    mem::Addr contextStoreBase = 0x5000'0000ULL;
-    sim::Tick clockPeriod = sim::periodFromFrequency(2'000'000'000ULL);
     /** Multi-kernel admission/preemption policy knobs. */
     AdmissionConfig admission;
 };
@@ -173,7 +164,6 @@ class CommandProcessor : public sim::Clocked,
     void ensureHousekeeping();
     bool hasWork() const;
 
-    CpConfig config;
     mem::DmaEngine &dma;
     mem::BackingStore &store;
     gpu::WgScheduler *scheduler = nullptr;

@@ -7,13 +7,20 @@
 
 namespace ifp::gpu {
 
+namespace {
+
+/** Latency of an LDS load or store, in GPU cycles. */
+constexpr sim::Cycles ldsLatency = 4;
+
+} // anonymous namespace
+
 ComputeUnit::ComputeUnit(std::string name, sim::EventQueue &eq,
                          unsigned cu_id, const GpuConfig &cfg,
                          mem::MemDevice &l1_dev,
                          mem::BackingStore &backing,
                          mem::MemRequestPool &request_pool,
                          CuListener &cu_listener)
-    : Clocked(std::move(name), eq, cfg.clockPeriod),
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
       id(cu_id),
       config(cfg),
       l1(l1_dev),
@@ -50,7 +57,7 @@ ComputeUnit::canHost(const isa::Kernel &kernel) const
 {
     if (offlineFlag)
         return false;
-    if (ldsUsed + kernel.ldsBytes > config.ldsBytesPerCu)
+    if (ldsUsed + kernel.ldsBytes > ldsBytesPerCu)
         return false;
     if (resident.size() >= kernel.maxWgsPerCu)
         return false;
@@ -426,13 +433,13 @@ ComputeUnit::executeInstr(Wavefront &wf)
                   wf.wg->ldsRead(wf.reg(in.src0) + in.imm));
         ++wf.pc;
         setWfState(wf, WfState::Busy);
-        scheduleWake(wf, config.ldsLatency);
+        scheduleWake(wf, ldsLatency);
         return;
       case Opcode::StLds:
         wf.wg->ldsWrite(wf.reg(in.src0) + in.imm, wf.reg(in.src1));
         ++wf.pc;
         setWfState(wf, WfState::Busy);
-        scheduleWake(wf, config.ldsLatency);
+        scheduleWake(wf, ldsLatency);
         return;
       case Opcode::Ld:
       case Opcode::St:

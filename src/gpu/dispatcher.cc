@@ -4,6 +4,13 @@
 
 namespace ifp::gpu {
 
+namespace {
+
+/** Cycles from WG reservation to its wavefronts becoming ready. */
+constexpr sim::Cycles dispatchLatency = 100;
+
+} // anonymous namespace
+
 const char *
 contextStateName(ContextState state)
 {
@@ -17,10 +24,8 @@ contextStateName(ContextState state)
 }
 
 Dispatcher::Dispatcher(std::string name, sim::EventQueue &eq,
-                       const GpuConfig &cfg, ContextSwitcher &cs,
-                       AdmissionPolicy &adm)
-    : Clocked(std::move(name), eq, cfg.clockPeriod),
-      config(cfg),
+                       ContextSwitcher &cs, AdmissionPolicy &adm)
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
       switcher(cs),
       admission(adm),
       statGroup(this->name()),
@@ -337,7 +342,7 @@ Dispatcher::startFresh(WorkGroup *w, ComputeUnit *cu)
     // The epoch guard lets offlineCu() cancel this activation if the
     // CU churns away during the launch latency.
     std::uint64_t epoch = w->dispatchEpoch;
-    eventq().schedule(clockEdge(config.dispatchLatency),
+    eventq().schedule(clockEdge(dispatchLatency),
                       [cu, w, epoch] {
         if (w->dispatchEpoch == epoch)
             cu->activateWg(w);

@@ -57,8 +57,7 @@ class Dispatcher : public sim::Clocked,
      * CP's (cp/command_processor.hh) and must outlive the dispatcher.
      */
     Dispatcher(std::string name, sim::EventQueue &eq,
-               const GpuConfig &cfg, ContextSwitcher &switcher,
-               AdmissionPolicy &admission);
+               ContextSwitcher &switcher, AdmissionPolicy &admission);
 
     /// @name Wiring
     /// @{
@@ -281,7 +280,6 @@ class Dispatcher : public sim::Clocked,
     void notifyPreempted(WorkGroup *w, int cu_id);
     void contextCompleted(DispatchContext &ctx);
 
-    const GpuConfig &config;
     ContextSwitcher &switcher;
     AdmissionPolicy &admission;
     std::vector<ComputeUnit *> cus;

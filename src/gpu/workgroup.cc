@@ -165,13 +165,4 @@ WorkGroup::closeAccounting(sim::Tick now)
     booksClosed = true;
 }
 
-sim::Tick
-WorkGroup::accountedTicks() const
-{
-    sim::Tick sum = 0;
-    for (sim::Tick t : reasonTicks)
-        sum += t;
-    return sum;
-}
-
 } // namespace ifp::gpu

@@ -131,9 +131,6 @@ class WorkGroup
 
     /** Stop the stall clock (at completion or end of simulation). */
     void closeAccounting(sim::Tick now);
-
-    /** Lifetime covered by the buckets so far (creation to close). */
-    sim::Tick accountedTicks() const;
     /// @}
 
     unsigned doneWfs = 0;

@@ -10,6 +10,9 @@ namespace ifp::harness {
 
 namespace {
 
+/** Second kernel of the serving mix. */
+constexpr const char *mixWorkload = "BA";
+
 /**
  * One serve() run of the two-kernel mix under @p plan: both kernels
  * enqueued at tick 0, the CP admission scheduler shares the machine,
@@ -34,7 +37,7 @@ runServingMix(const CampaignConfig &cfg, const core::FaultPlan &plan,
     workloads::WorkloadPtr primary =
         workloads::makeWorkload(cfg.workload);
     workloads::WorkloadPtr mix =
-        workloads::makeWorkload(cfg.mixWorkload);
+        workloads::makeWorkload(mixWorkload);
     system.enqueueKernel(primary->build(system, params));
     system.enqueueKernel(mix->build(system, params));
 
@@ -64,13 +67,11 @@ runChaosCampaign(const CampaignConfig &cfg)
     CampaignReport report;
     report.policies = cfg.policies;
 
-    core::ChaosSpec spec = cfg.chaos;
-    spec.numCus = cfg.runCfg.gpu.numCus;
-
     report.plans.reserve(cfg.numPlans);
-    for (unsigned i = 0; i < cfg.numPlans; ++i)
-        report.plans.push_back(
-            core::generateChaosPlan(spec, cfg.baseSeed + i));
+    for (unsigned i = 0; i < cfg.numPlans; ++i) {
+        report.plans.push_back(core::generateChaosPlan(
+            cfg.runCfg.gpu.numCus, cfg.baseSeed + i));
+    }
 
     SweepRunner sweep(cfg.jobs);
     for (const core::FaultPlan &plan : report.plans) {

@@ -3,7 +3,7 @@
  * Chaos-campaign runner: seeded fault-plan sweeps with liveness
  * verdicts.
  *
- * A campaign generates N fault plans from (ChaosSpec, baseSeed + i),
+ * A campaign generates N fault plans from seeds baseSeed + i,
  * runs every plan against every policy under test through the
  * parallel SweepRunner, and reports the verdict matrix. Results come
  * back in submission order, so campaign tables/CSV are byte-identical
@@ -35,8 +35,6 @@ struct CampaignConfig
     unsigned numPlans = 20;
     /** Plan i uses seed baseSeed + i. */
     std::uint64_t baseSeed = 1;
-    /** Fault-mix knobs (numCus is overwritten from runCfg.gpu). */
-    core::ChaosSpec chaos;
 
     workloads::WorkloadParams params;
     core::RunConfig runCfg;
@@ -46,14 +44,12 @@ struct CampaignConfig
 
     /**
      * Also drive every plan through serve() with a two-kernel mix
-     * (`workload` + `mixWorkload` enqueued together), exercising the
+     * (`workload` + BankAccount enqueued together), exercising the
      * fault engine against the CP admission scheduler rather than
      * the single-kernel run loop. Opt-in: with it off, campaign
      * tables and CSV stay byte-identical to earlier releases.
      */
     bool servingMix = false;
-    /** Second kernel of the serving mix. */
-    std::string mixWorkload = "BA";
 };
 
 /** One (plan, policy) cell of the campaign matrix. */

@@ -26,6 +26,9 @@
 
 namespace ifp::mem {
 
+/** Cacheline size of the L1s and the L2, in bytes (Table 1). */
+constexpr unsigned cacheLineBytes = 64;
+
 /** Tag array of a single cache (or cache bank). */
 class CacheTags
 {

@@ -1,13 +1,11 @@
 #include "mem/dma.hh"
 
-#include "sim/logging.hh"
+#include <utility>
 
 namespace ifp::mem {
 
-DmaEngine::DmaEngine(std::string name, sim::EventQueue &eq,
-                     const DmaConfig &cfg)
-    : Clocked(std::move(name), eq, cfg.clockPeriod),
-      config(cfg),
+DmaEngine::DmaEngine(std::string name, sim::EventQueue &eq)
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
       statGroup(this->name()),
       numTransfers(statGroup.addScalar("transfers",
                                        "bulk transfers completed")),
@@ -15,15 +13,14 @@ DmaEngine::DmaEngine(std::string name, sim::EventQueue &eq,
       busyTicks(statGroup.addScalar("busyTicks",
                                     "ticks the engine was busy"))
 {
-    ifp_assert(config.bytesPerCycle > 0, "DMA bandwidth must be > 0");
 }
 
 sim::Cycles
 DmaEngine::transferCycles(std::uint64_t bytes) const
 {
     std::uint64_t stream =
-        (bytes + config.bytesPerCycle - 1) / config.bytesPerCycle;
-    return config.setupCycles + stream;
+        (bytes + dmaBytesPerCycle - 1) / dmaBytesPerCycle;
+    return dmaSetupCycles + stream;
 }
 
 void

@@ -23,22 +23,16 @@
 
 namespace ifp::mem {
 
-/** DMA engine configuration. */
-struct DmaConfig
-{
-    /** Fixed cycles of setup per transfer (descriptor, TLB, etc.). */
-    sim::Cycles setupCycles = 200;
-    /** Streaming bandwidth, bytes per GPU cycle. */
-    unsigned bytesPerCycle = 32;
-    sim::Tick clockPeriod = sim::periodFromFrequency(2'000'000'000ULL);
-};
+/** Fixed cycles of setup per transfer (descriptor, TLB, etc.). */
+constexpr sim::Cycles dmaSetupCycles = 200;
+/** Streaming bandwidth, bytes per GPU cycle. */
+constexpr unsigned dmaBytesPerCycle = 32;
 
 /** Serializing bulk-transfer engine. */
 class DmaEngine : public sim::Clocked
 {
   public:
-    DmaEngine(std::string name, sim::EventQueue &eq,
-              const DmaConfig &cfg);
+    DmaEngine(std::string name, sim::EventQueue &eq);
 
     /**
      * Enqueue a transfer of @p bytes; @p on_done fires when the data
@@ -63,7 +57,6 @@ class DmaEngine : public sim::Clocked
 
     void startNext();
 
-    DmaConfig config;
     std::deque<Transfer> pending;
     bool busy = false;
 

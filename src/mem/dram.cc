@@ -2,14 +2,11 @@
 
 #include <utility>
 
-#include "sim/logging.hh"
-
 namespace ifp::mem {
 
-Dram::Dram(std::string name, sim::EventQueue &eq, const DramConfig &cfg)
-    : Clocked(std::move(name), eq, cfg.clockPeriod),
-      config(cfg),
-      channelState(cfg.channels),
+Dram::Dram(std::string name, sim::EventQueue &eq)
+    : Clocked(std::move(name), eq, dramClockPeriod),
+      channelState(dramChannels),
       statGroup(this->name()),
       numReads(statGroup.addScalar("reads", "requests serviced (reads)")),
       numWrites(statGroup.addScalar("writes",
@@ -17,13 +14,12 @@ Dram::Dram(std::string name, sim::EventQueue &eq, const DramConfig &cfg)
       totalQueueTicks(statGroup.addScalar(
           "queueTicks", "cumulative ticks requests spent queued"))
 {
-    ifp_assert(cfg.channels > 0, "DRAM needs at least one channel");
 }
 
 unsigned
 Dram::channelFor(Addr addr) const
 {
-    return (addr / config.interleaveBytes) % config.channels;
+    return (addr / dramInterleaveBytes) % dramChannels;
 }
 
 void
@@ -65,8 +61,8 @@ Dram::drainChannel(unsigned idx)
     else
         ++numReads;
 
-    ch.busyUntil = now + cyclesToTicks(config.burstCycles);
-    sim::Tick done = now + cyclesToTicks(config.accessLatency);
+    ch.busyUntil = now + cyclesToTicks(dramBurstCycles);
+    sim::Tick done = now + cyclesToTicks(dramAccessLatency);
     eventq().schedule(done, [r = std::move(req)] { r->respond(); },
                       "dram.resp");
 

@@ -21,18 +21,20 @@
 
 namespace ifp::mem {
 
-/** Configuration of the DRAM model. */
-struct DramConfig
-{
-    unsigned channels = 4;
-    sim::Tick clockPeriod = sim::periodFromFrequency(1'000'000'000ULL);
-    /** Fixed access latency, in DRAM cycles. */
-    sim::Cycles accessLatency = 50;
-    /** Channel occupancy per request (bandwidth bound), in cycles. */
-    sim::Cycles burstCycles = 4;
-    /** Interleaving granularity in bytes. */
-    unsigned interleaveBytes = 64;
-};
+/// @name DRAM timing (the DDR3 of Table 1)
+/// @{
+/** DRAM clock: 1 GHz, half the GPU clock. */
+constexpr sim::Tick dramClockPeriod =
+    sim::periodFromFrequency(1'000'000'000ULL);
+/** Independent channels, each first-come-first-served. */
+constexpr unsigned dramChannels = 4;
+/** Fixed access latency, in DRAM cycles. */
+constexpr sim::Cycles dramAccessLatency = 50;
+/** Channel occupancy per request (bandwidth bound), in DRAM cycles. */
+constexpr sim::Cycles dramBurstCycles = 4;
+/** Channel-interleaving granularity, in bytes. */
+constexpr unsigned dramInterleaveBytes = 64;
+/// @}
 
 /**
  * Multi-channel DRAM. Implements MemDevice; responds to each request
@@ -41,7 +43,7 @@ struct DramConfig
 class Dram : public sim::Clocked, public MemDevice
 {
   public:
-    Dram(std::string name, sim::EventQueue &eq, const DramConfig &cfg);
+    Dram(std::string name, sim::EventQueue &eq);
 
     void access(const MemRequestPtr &req) override;
 
@@ -60,7 +62,6 @@ class Dram : public sim::Clocked, public MemDevice
     unsigned channelFor(Addr addr) const;
     void drainChannel(unsigned idx);
 
-    DramConfig config;
     std::vector<Channel> channelState;
 
     sim::StatGroup statGroup;

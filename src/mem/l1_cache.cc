@@ -9,9 +9,8 @@ namespace ifp::mem {
 L1Cache::L1Cache(std::string name, sim::EventQueue &eq,
                  const L1Config &cfg, MemDevice &next_level,
                  MemRequestPool &request_pool)
-    : Clocked(std::move(name), eq, cfg.clockPeriod),
-      config(cfg),
-      tags(cfg.sizeBytes, cfg.assoc, cfg.lineBytes),
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+      tags(cfg.sizeBytes, cfg.assoc, cacheLineBytes),
       next(next_level),
       pool(request_pool),
       statGroup(this->name()),
@@ -58,7 +57,7 @@ L1Cache::access(const MemRequestPtr &req)
         if (req->acquire)
             req->chainResponder(&acquireHook);
         // Charge the bypass latency on the way in.
-        eventq().schedule(clockEdge(config.bypassLatency),
+        eventq().schedule(clockEdge(l1BypassLatency),
                           [this, req] { next.access(req); },
                           "l1.bypass");
         return;
@@ -73,7 +72,7 @@ L1Cache::handleRead(const MemRequestPtr &req)
     if (CacheTags::Line *line = tags.lookup(req->addr)) {
         ++hits;
         tags.touch(*line);
-        eventq().schedule(clockEdge(config.hitLatency),
+        eventq().schedule(clockEdge(l1HitLatency),
                           [req] { req->respond(); }, "l1.hit");
         return;
     }
@@ -94,7 +93,7 @@ L1Cache::handleRead(const MemRequestPtr &req)
     MemRequestPtr fill = pool.allocate();
     fill->op = MemOp::Read;
     fill->addr = line_addr;
-    fill->size = config.lineBytes;
+    fill->size = cacheLineBytes;
     fill->cuId = req->cuId;
     fill->issueTick = curTick();
     fill->setResponder(this, line_addr);
@@ -116,7 +115,7 @@ L1Cache::handleFill(Addr line_addr)
     Mshr *mshr = findMshr(line_addr);
     ifp_assert(mshr != nullptr, "fill with no MSHR");
     for (const MemRequestPtr &req : mshr->waiting) {
-        eventq().schedule(clockEdge(config.hitLatency),
+        eventq().schedule(clockEdge(l1HitLatency),
                           [req] { req->respond(); }, "l1.fill");
     }
     mshr->waiting.clear();

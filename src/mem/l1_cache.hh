@@ -28,13 +28,12 @@ struct L1Config
 {
     std::size_t sizeBytes = 32 * 1024;
     unsigned assoc = 16;
-    unsigned lineBytes = 64;
-    /** Load-to-use latency on a hit, in GPU cycles. */
-    sim::Cycles hitLatency = 30;
-    /** Extra cycles for requests that bypass the L1 (atomics). */
-    sim::Cycles bypassLatency = 4;
-    sim::Tick clockPeriod = sim::periodFromFrequency(2'000'000'000ULL);
 };
+
+/** Load-to-use latency of an L1 hit, in GPU cycles (Table 1). */
+constexpr sim::Cycles l1HitLatency = 30;
+/** Extra cycles for requests that bypass the L1 (atomics). */
+constexpr sim::Cycles l1BypassLatency = 4;
 
 /** Write-through, no-write-allocate L1 data cache. */
 class L1Cache : public sim::Clocked, public MemDevice,
@@ -91,7 +90,6 @@ class L1Cache : public sim::Clocked, public MemDevice,
         L1Cache &cache;
     };
 
-    L1Config config;
     CacheTags tags;
     MemDevice &next;
     MemRequestPool &pool;

@@ -10,13 +10,13 @@ namespace ifp::mem {
 L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
                  const L2Config &config, MemDevice &dram_dev,
                  BackingStore &backing, MemRequestPool &request_pool)
-    : Clocked(std::move(name), eq, config.clockPeriod),
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
       cfg(config),
       dram(dram_dev),
       store(backing),
       pool(request_pool),
-      tags(config.sizeBytes, config.assoc, config.lineBytes),
-      banks(config.banks),
+      tags(config.sizeBytes, config.assoc, cacheLineBytes),
+      banks(l2Banks),
       statGroup(this->name()),
       hits(statGroup.addScalar("hits", "accesses hitting in the tags")),
       misses(statGroup.addScalar("misses", "accesses missing")),
@@ -34,13 +34,12 @@ L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
       queueTicks(statGroup.addScalar(
           "queueTicks", "cumulative ticks spent in bank queues"))
 {
-    ifp_assert(cfg.banks > 0, "L2 needs at least one bank");
 }
 
 unsigned
 L2Cache::bankFor(Addr addr) const
 {
-    return (addr / cfg.lineBytes) % cfg.banks;
+    return (addr / cacheLineBytes) % l2Banks;
 }
 
 void
@@ -123,7 +122,7 @@ L2Cache::drainBank(unsigned idx)
     queueTicks += static_cast<double>(now - req->issueTick);
 
     sim::Cycles occupancy =
-        is_atomic ? cfg.atomicServiceCycles : cfg.serviceCycles;
+        is_atomic ? l2AtomicServiceCycles : l2ServiceCycles;
     bank.busyUntil = now + cyclesToTicks(occupancy);
     if (is_atomic) {
         bank.lineBusyUntil[line_addr] =
@@ -144,7 +143,7 @@ L2Cache::drainBank(unsigned idx)
 void
 L2Cache::scheduleFinish(MemRequestPtr req)
 {
-    eventq().schedule(clockEdge(cfg.hitLatency),
+    eventq().schedule(clockEdge(l2HitLatency),
                       [this, r = std::move(req)] { finishAccess(r); },
                       "l2.finish");
 }
@@ -165,7 +164,7 @@ L2Cache::serviceRequest(MemRequestPtr req)
     MemRequestPtr fill = pool.allocate();
     fill->op = MemOp::Read;
     fill->addr = tags.lineOf(req->addr);
-    fill->size = cfg.lineBytes;
+    fill->size = cacheLineBytes;
     fill->issueTick = curTick();
     // The blocked request rides in the fill's parent slot (owned, so
     // a torn-down in-flight fill still releases it to the pool).
@@ -186,7 +185,7 @@ L2Cache::onMemResponse(MemRequest &fill, std::uint64_t)
             MemRequestPtr wb = pool.allocate();
             wb->op = MemOp::Write;
             wb->addr = victim.lineAddr;
-            wb->size = cfg.lineBytes;
+            wb->size = cacheLineBytes;
             wb->issueTick = curTick();
             dram.access(wb);  // fire and forget: recycled by refcount
         }

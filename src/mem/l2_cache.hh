@@ -13,10 +13,11 @@
  *
  * Timing: requests are address-interleaved across banks; each bank
  * services its queue in order. A serviced request occupies the bank for
- * a configurable number of cycles (larger for atomics, modeling the
- * read-modify-write turnaround), which is what makes busy-wait
- * spinning on one synchronization variable collapse throughput — the
- * effect the paper's Baseline suffers from.
+ * a few cycles, and atomics to one line are further spaced by the
+ * read-modify-write turnaround (L2Config::sameLineAtomicGapCycles),
+ * which is what makes busy-wait spinning on one synchronization
+ * variable collapse throughput — the effect the paper's Baseline
+ * suffers from.
  */
 
 #ifndef IFP_MEM_L2_CACHE_HH
@@ -41,17 +42,6 @@ struct L2Config
 {
     std::size_t sizeBytes = 512 * 1024;
     unsigned assoc = 16;
-    unsigned lineBytes = 64;
-    unsigned banks = 4;
-    /** Hit latency (request to response), in GPU cycles. */
-    sim::Cycles hitLatency = 50;
-    /** Bank occupancy per plain read/write, in cycles. */
-    sim::Cycles serviceCycles = 4;
-    /**
-     * Bank occupancy per atomic, in cycles. Independent atomics
-     * pipeline at this rate.
-     */
-    sim::Cycles atomicServiceCycles = 4;
     /**
      * Minimum spacing between atomics to the *same cacheline*, in
      * cycles. Models the read-modify-write turnaround plus the
@@ -63,8 +53,22 @@ struct L2Config
      * where backoff alone buys an order of magnitude).
      */
     sim::Cycles sameLineAtomicGapCycles = 150;
-    sim::Tick clockPeriod = sim::periodFromFrequency(2'000'000'000ULL);
 };
+
+/// @name L2 timing (Table 1)
+/// @{
+/** Address-interleaved banks, each servicing its queue in order. */
+constexpr unsigned l2Banks = 4;
+/** Hit latency (request to response), in GPU cycles. */
+constexpr sim::Cycles l2HitLatency = 50;
+/** Bank occupancy per plain read/write, in cycles. */
+constexpr sim::Cycles l2ServiceCycles = 4;
+/**
+ * Bank occupancy per atomic, in cycles. Independent atomics
+ * pipeline at this rate.
+ */
+constexpr sim::Cycles l2AtomicServiceCycles = 4;
+/// @}
 
 /**
  * The shared L2. Implements MemDevice for the L1s; talks to DRAM below.

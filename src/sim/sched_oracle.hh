@@ -44,29 +44,6 @@ enum class ChoicePoint
     RescueOrder,     //!< order the CP fires expired rescue timers
 };
 
-/** Printable name of a choice point (stable, used in JSON). */
-inline const char *
-choicePointName(ChoicePoint site)
-{
-    switch (site) {
-      case ChoicePoint::DispatchPick:
-        return "dispatch-pick";
-      case ChoicePoint::HostCu:
-        return "host-cu";
-      case ChoicePoint::WavefrontIssue:
-        return "wavefront-issue";
-      case ChoicePoint::ResumeOrder:
-        return "resume-order";
-      case ChoicePoint::ResumeVictim:
-        return "resume-victim";
-      case ChoicePoint::SpillScan:
-        return "spill-scan";
-      case ChoicePoint::RescueOrder:
-        return "rescue-order";
-    }
-    return "?";
-}
-
 /**
  * The decision interface. choose() is only called with n >= 2 —
  * sites short-circuit singleton candidate sets — and must return an

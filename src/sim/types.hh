@@ -4,7 +4,7 @@
  *
  * The simulator counts time in abstract "ticks". Every clocked component
  * converts its local cycle count into ticks through its clock period
- * (see sim/clocked.hh). With the default GPU clock of 2 GHz and a tick
+ * (see sim/clocked.hh). With the GPU clock of 2 GHz and a tick
  * resolution of 1 ps, one GPU cycle equals 500 ticks.
  */
 
@@ -34,6 +34,14 @@ periodFromFrequency(std::uint64_t hz)
 {
     return ticksPerSecond / hz;
 }
+
+/**
+ * The GPU clock: 2 GHz (Table 1). The CUs, the dispatcher, the L1s,
+ * the L2, the SyncMon, the DMA engine and the CP all run on it, and
+ * every "GPU cycles" figure in configs and results counts its cycles.
+ * The DRAM has a clock of its own (mem::dramClockPeriod).
+ */
+constexpr Tick gpuClockPeriod = periodFromFrequency(2'000'000'000ULL);
 
 /** Convert microseconds of simulated time into ticks. */
 constexpr Tick

@@ -69,14 +69,10 @@ CountingBloomFilter::reset()
     uniques = 0;
 }
 
-BloomFilterBank::BloomFilterBank(unsigned num_filters, unsigned cells,
-                                 unsigned num_hashes)
-    : selector(0xFF51AFD7ED558CCDULL, 0xC4CEB9FE1A85EC53ULL)
+BloomFilterBank::BloomFilterBank()
+    : filters(numBloomFilters),
+      selector(0xFF51AFD7ED558CCDULL, 0xC4CEB9FE1A85EC53ULL)
 {
-    ifp_assert(num_filters > 0, "bloom bank needs filters");
-    filters.reserve(num_filters);
-    for (unsigned i = 0; i < num_filters; ++i)
-        filters.emplace_back(cells, num_hashes);
 }
 
 CountingBloomFilter &

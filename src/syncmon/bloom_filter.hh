@@ -22,12 +22,19 @@
 
 namespace ifp::syncmon {
 
+/// @name The §V.C Bloom-filter budget
+/// @{
+constexpr unsigned numBloomFilters = 512;
+constexpr unsigned bloomCellsPerFilter = 24;
+constexpr unsigned bloomHashesPerFilter = 6;
+/// @}
+
 /** One counting Bloom filter. */
 class CountingBloomFilter
 {
   public:
-    CountingBloomFilter(unsigned num_cells = 24,
-                        unsigned num_hashes = 6);
+    CountingBloomFilter(unsigned num_cells = bloomCellsPerFilter,
+                        unsigned num_hashes = bloomHashesPerFilter);
 
     /**
      * Record @p value; returns true when the value was (probably) not
@@ -55,12 +62,11 @@ class CountingBloomFilter
     unsigned uniques = 0;
 };
 
-/** The bank of per-address filters. */
+/** The bank of per-address filters, sized to the §V.C budget. */
 class BloomFilterBank
 {
   public:
-    BloomFilterBank(unsigned num_filters = 512, unsigned cells = 24,
-                    unsigned num_hashes = 6);
+    BloomFilterBank();
 
     /** The filter responsible for @p addr. */
     CountingBloomFilter &filterFor(std::uint64_t addr);

@@ -6,19 +6,31 @@
 
 namespace ifp::syncmon {
 
-const char *
-syncMonModeName(SyncMonMode mode)
-{
-    switch (mode) {
-      case SyncMonMode::MonRSAll: return "MonRS-All";
-      case SyncMonMode::MonRAll: return "MonR-All";
-      case SyncMonMode::MonNRAll: return "MonNR-All";
-      case SyncMonMode::MonNROne: return "MonNR-One";
-      case SyncMonMode::Awg: return "AWG";
-      case SyncMonMode::MinResume: return "MinResume";
-    }
-    return "?";
-}
+namespace {
+
+/// @name AWG stall-period predictor
+/// @{
+/** Floor of the predicted stall window, in GPU cycles. */
+constexpr sim::Cycles minStallCycles = 500;
+/** Prediction before any observation, in GPU cycles. */
+constexpr sim::Cycles defaultStallCycles = 2'000;
+/** EWMA weight of new wait-latency observations. */
+constexpr double ewmaAlpha = 0.25;
+/// @}
+
+/** AWG resume predictor: unique updates above this mean "resume all". */
+constexpr unsigned uniqueUpdateThreshold = 2;
+
+/**
+ * Lazy monitor cleanup: a line stays monitored (and its Bloom filter
+ * keeps accumulating) for this many cycles after its last condition
+ * retires. Eagerly clearing tag bits on the retire path would be
+ * expensive hardware; the grace period also lets the predictor see
+ * the arrival bursts of back-to-back barrier rounds.
+ */
+constexpr sim::Cycles monitorIdleCycles = 50'000;
+
+} // anonymous namespace
 
 SyncMonController::SyncMonController(std::string name,
                                      sim::EventQueue &eq,
@@ -27,15 +39,14 @@ SyncMonController::SyncMonController(std::string name,
                                      mem::L2Cache &l2_cache,
                                      mem::BackingStore &backing,
                                      cp::CommandProcessor &cp_dev)
-    : Clocked(std::move(name), eq, l2_cache.config().clockPeriod),
+    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
       policyMode(mode),
       config(cfg),
       l2(l2_cache),
       store(backing),
       cp(cp_dev),
-      conds(cfg.sets, cfg.ways, l2_cache.config().lineBytes),
+      conds(cfg.sets, cfg.ways, mem::cacheLineBytes),
       waiters(cfg.waitingListCapacity),
-      blooms(cfg.bloomFilters, cfg.bloomCells, cfg.bloomHashes),
       statGroup(this->name()),
       registrations(statGroup.addScalar("registrations",
                                         "waiting conditions armed")),
@@ -95,7 +106,7 @@ SyncMonController::predictStall(mem::Addr addr) const
 {
     auto it = stallEwma.find(addr);
     if (it == stallEwma.end())
-        return config.defaultStallCycles;
+        return defaultStallCycles;
     return static_cast<sim::Cycles>(it->second / clockPeriod());
 }
 
@@ -107,8 +118,8 @@ SyncMonController::observeWaitLatency(mem::Addr addr, sim::Tick waited)
     auto [it, fresh] = stallEwma.try_emplace(
         addr, static_cast<double>(waited));
     if (!fresh) {
-        it->second = config.ewmaAlpha * static_cast<double>(waited) +
-                     (1.0 - config.ewmaAlpha) * it->second;
+        it->second = ewmaAlpha * static_cast<double>(waited) +
+                     (1.0 - ewmaAlpha) * it->second;
     }
 }
 
@@ -124,7 +135,7 @@ SyncMonController::waitDecisionFor(mem::Addr addr)
         // Stall for the predicted wait first; the timeout handler
         // context switches only if the prediction was wrong.
         sim::Cycles predicted = 2 * predictStall(addr);
-        predicted = std::clamp(predicted, config.minStallCycles,
+        predicted = std::clamp(predicted, minStallCycles,
                                config.rescueIntervalCycles);
         return {mem::WaitKind::Stall, predicted};
     }
@@ -493,7 +504,7 @@ SyncMonController::noteConditionRemoved(mem::Addr addr)
     // the bit clear and — per the paper — the Bloom filter reset.
     sim::Tick marked = curTick();
     lineIdleSince[line] = marked;
-    eventq().schedule(clockEdge(config.monitorIdleCycles),
+    eventq().schedule(clockEdge(monitorIdleCycles),
                       [this, line, marked] {
         auto idle = lineIdleSince.find(line);
         if (idle == lineIdleSince.end() || idle->second != marked)
@@ -557,7 +568,7 @@ SyncMonController::onMonitoredAccess(mem::Addr addr,
         sim::emitTrace(trace, curTick(), sim::TraceEventKind::AwgPredict,
                        -1, -1, sim::StallReason::Running, addr, unique);
         if (e->numWaiters > 1 &&
-            unique > config.uniqueUpdateThreshold) {
+            unique > uniqueUpdateThreshold) {
             ++predictAll;
             resumeAll(*e);
         } else {

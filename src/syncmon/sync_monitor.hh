@@ -56,9 +56,6 @@ enum class SyncMonMode
     MinResume,  //!< oracle: resume exactly the waiters that can run
 };
 
-/** Printable name of a mode. */
-const char *syncMonModeName(SyncMonMode mode);
-
 /**
  * What happens when a condition cache set is full (the paper leaves
  * the study of Monitor Log replacement/fairness policies as future
@@ -76,20 +73,9 @@ struct SyncMonConfig
     unsigned sets = 256;
     unsigned ways = 4;
     unsigned waitingListCapacity = 512;
-    unsigned bloomFilters = 512;
-    unsigned bloomCells = 24;
-    unsigned bloomHashes = 6;
 
     /** Backstop timeout re-activating waiters, in GPU cycles. */
     sim::Cycles rescueIntervalCycles = 20'000;
-    /** AWG: floor of the predicted stall window. */
-    sim::Cycles minStallCycles = 500;
-    /** AWG: default prediction before any observation. */
-    sim::Cycles defaultStallCycles = 2'000;
-    /** AWG: EWMA weight of new wait-latency observations. */
-    double ewmaAlpha = 0.25;
-    /** AWG predictor: unique updates above this mean "resume all". */
-    unsigned uniqueUpdateThreshold = 2;
     /**
      * AWG's stall-period prediction (stall for a predicted window
      * before paying for a context switch). Disabling it makes AWG
@@ -99,15 +85,6 @@ struct SyncMonConfig
     bool stallPredictionEnabled = true;
     /** Set-conflict handling (virtualization fairness study). */
     SpillPolicy spillPolicy = SpillPolicy::SpillNew;
-    /**
-     * Lazy monitor cleanup: a line stays monitored (and its Bloom
-     * filter keeps accumulating) for this many cycles after its last
-     * condition retires. Eagerly clearing tag bits on the retire path
-     * would be expensive hardware; the grace period also lets the
-     * predictor see the arrival bursts of back-to-back barrier
-     * rounds.
-     */
-    sim::Cycles monitorIdleCycles = 50'000;
 };
 
 /** The SyncMon: a mem::SyncObserver installed into the L2. */
@@ -251,8 +228,7 @@ class SyncMonController : public sim::Clocked,
     mem::Addr
     lineOf(mem::Addr addr) const
     {
-        return addr & ~static_cast<mem::Addr>(
-                   l2.config().lineBytes - 1);
+        return addr & ~static_cast<mem::Addr>(mem::cacheLineBytes - 1);
     }
 
     /** Stall-vs-switch decision for a freshly registered waiter. */

@@ -89,8 +89,7 @@ HashTableWorkload::build(core::GpuSystem &system,
     locksBase = system.allocate(buckets * 64ULL);
     countsBase = system.allocate(buckets * 64ULL);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();
@@ -187,8 +186,7 @@ BankAccountWorkload::build(core::GpuSystem &system,
     for (unsigned i = 0; i < accounts; ++i)
         system.memory().write(balancesBase + i * 64, initialBalance, 8);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();

@@ -132,8 +132,7 @@ TreeBarrierWorkload::build(core::GpuSystem &system,
     globalBase = system.allocate(64);
     doneBase = system.allocate(64);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     emitSyncProlog(b, sp);
@@ -299,8 +298,7 @@ LfTreeBarrierWorkload::build(core::GpuSystem &system,
     groupReleaseBase = system.allocate(groups * 64ULL);
     doneBase = system.allocate(64);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     emitSyncProlog(b, sp);

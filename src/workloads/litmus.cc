@@ -91,7 +91,6 @@ LitmusWorkload::build(core::GpuSystem &system,
 
     StyleParams sp;
     sp.style = params.style;
-    sp.backoffMin = params.backoffMinCycles;
     sp.backoffMax = params.backoffMaxCycles;
 
     KernelBuilder b;

@@ -135,8 +135,7 @@ SpinMutexWorkload::build(core::GpuSystem &system,
     locksBase = system.allocate(groups * 64ULL);
     dataBase = system.allocate(groups * 64ULL);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles,
+    StyleParams sp{params.style, params.backoffMaxCycles,
                    backoff && params.style == core::SyncStyle::Busy};
 
     KernelBuilder b;
@@ -218,8 +217,7 @@ FaMutexWorkload::build(core::GpuSystem &system,
     syncBase = system.allocate(groups * 128ULL);
     dataBase = system.allocate(groups * 64ULL);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();
@@ -319,8 +317,7 @@ SleepMutexWorkload::build(core::GpuSystem &system,
     for (unsigned g = 0; g < groups; ++g)
         system.memory().write(queueBase + g * queueStride, 1, 8);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();

@@ -111,8 +111,7 @@ MpmcQueueWorkload::build(core::GpuSystem &system,
     for (unsigned i = 0; i < depth; ++i)
         system.memory().write(slotsBase + i * 64ULL, i, 8);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();
@@ -264,8 +263,7 @@ PipelineWorkload::build(core::GpuSystem &system,
             system.memory().write(ringsBase + r * ring_stride + i * 64,
                                   i, 8);
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();
@@ -480,8 +478,7 @@ WorkStealWorkload::build(core::GpuSystem &system,
         system.memory().write(tasksBase + g * 64 + 8, g, 8);  // value
     }
 
-    StyleParams sp{params.style, params.backoffMinCycles,
-                   params.backoffMaxCycles, false};
+    StyleParams sp{params.style, params.backoffMaxCycles, false};
 
     KernelBuilder b;
     Label l_end = b.label();

@@ -10,6 +10,16 @@ using isa::Label;
 using isa::Reg;
 using mem::AtomicOpcode;
 
+namespace {
+
+/**
+ * Backoff after the first failed attempt, in cycles; each later
+ * failure doubles it, up to StyleParams::backoffMax.
+ */
+constexpr std::int64_t backoffMinCycles = 64;
+
+} // anonymous namespace
+
 void
 emitSyncProlog(KernelBuilder &b, const StyleParams &sp)
 {
@@ -57,7 +67,7 @@ emitTasAcquire(KernelBuilder &b, const StyleParams &sp, Reg addr_reg,
     switch (sp.style) {
       case SyncStyle::Busy: {
         if (sp.softwareBackoff)
-            b.movi(rBackoff, sp.backoffMin);
+            b.movi(rBackoff, backoffMinCycles);
         Label retry = b.here();
         Label done = b.label();
         b.atom(rAtomResult, AtomicOpcode::Exch, addr_reg, offset, rOne,
@@ -73,7 +83,7 @@ emitTasAcquire(KernelBuilder &b, const StyleParams &sp, Reg addr_reg,
         return;
       }
       case SyncStyle::SleepBackoff: {
-        b.movi(rBackoff, sp.backoffMin);
+        b.movi(rBackoff, backoffMinCycles);
         Label retry = b.here();
         Label done = b.label();
         b.atom(rAtomResult, AtomicOpcode::Exch, addr_reg, offset, rOne,
@@ -130,7 +140,7 @@ emitWaitEq(KernelBuilder &b, const StyleParams &sp, Reg addr_reg,
     switch (sp.style) {
       case SyncStyle::Busy: {
         if (sp.softwareBackoff)
-            b.movi(rBackoff, sp.backoffMin);
+            b.movi(rBackoff, backoffMinCycles);
         Label poll = b.here();
         Label done = b.label();
         b.atom(rAtomResult, AtomicOpcode::Load, addr_reg, offset,
@@ -147,7 +157,7 @@ emitWaitEq(KernelBuilder &b, const StyleParams &sp, Reg addr_reg,
         return;
       }
       case SyncStyle::SleepBackoff: {
-        b.movi(rBackoff, sp.backoffMin);
+        b.movi(rBackoff, backoffMinCycles);
         Label poll = b.here();
         Label done = b.label();
         b.atom(rAtomResult, AtomicOpcode::Load, addr_reg, offset,
@@ -217,7 +227,7 @@ emitWaitCounterReach(KernelBuilder &b, const StyleParams &sp,
     switch (sp.style) {
       case SyncStyle::Busy: {
         if (sp.softwareBackoff)
-            b.movi(rBackoff, sp.backoffMin);
+            b.movi(rBackoff, backoffMinCycles);
         Label poll = b.here();
         Label done = b.label();
         b.atom(rAtomResult, AtomicOpcode::Load, addr_reg, offset,
@@ -234,7 +244,7 @@ emitWaitCounterReach(KernelBuilder &b, const StyleParams &sp,
         return;
       }
       case SyncStyle::SleepBackoff: {
-        b.movi(rBackoff, sp.backoffMin);
+        b.movi(rBackoff, backoffMinCycles);
         Label poll = b.here();
         Label done = b.label();
         b.atom(rAtomResult, AtomicOpcode::Load, addr_reg, offset,

@@ -43,7 +43,6 @@ constexpr isa::Reg rTmp1 = 25;
 struct StyleParams
 {
     core::SyncStyle style = core::SyncStyle::Busy;
-    std::int64_t backoffMin = 64;
     std::int64_t backoffMax = 16'384;
     /** SPMBO: software delay-loop backoff instead of s_sleep. */
     bool softwareBackoff = false;

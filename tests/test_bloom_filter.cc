@@ -128,7 +128,7 @@ TEST(BloomFilter, ResetClearsSaturatedCellsAndUniqueCount)
 
 TEST(BloomBank, PaperHardwareBudget)
 {
-    BloomFilterBank bank(512, 24, 6);
+    BloomFilterBank bank;
     EXPECT_EQ(bank.numFilters(), 512u);
     // 12288 bits = 1.5 KB (paper Section V.C).
     EXPECT_EQ(bank.sizeBits(), 12288u);
@@ -136,7 +136,7 @@ TEST(BloomBank, PaperHardwareBudget)
 
 TEST(BloomBank, StableAddressToFilterMapping)
 {
-    BloomFilterBank bank(512, 24, 6);
+    BloomFilterBank bank;
     CountingBloomFilter &f1 = bank.filterFor(0xABC000);
     CountingBloomFilter &f2 = bank.filterFor(0xABC000);
     EXPECT_EQ(&f1, &f2);
@@ -148,7 +148,7 @@ TEST(BloomBank, StableAddressToFilterMapping)
 
 TEST(BloomBank, DifferentAddressesUsuallyDifferentFilters)
 {
-    BloomFilterBank bank(512, 24, 6);
+    BloomFilterBank bank;
     int collisions = 0;
     for (int i = 0; i < 100; ++i) {
         if (&bank.filterFor(0x1000 + i * 64) == &bank.filterFor(0x9000))

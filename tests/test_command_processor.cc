@@ -31,7 +31,7 @@ class StubScheduler : public gpu::WgScheduler
 struct CpFixture : public ::testing::Test
 {
     CpFixture()
-        : dma("dma", eq, mem::DmaConfig{}),
+        : dma("dma", eq),
           cp("cp", eq, CpConfig{}, dma, store)
     {
         cp.setScheduler(&sched);
@@ -66,12 +66,11 @@ TEST_F(CpFixture, ContextSaveTakesDmaTime)
     sim::Tick done = 0;
     cp.saveContext(&wg, [&] { done = eq.curTick(); });
     settle();
-    mem::DmaConfig dma_cfg;
     std::uint64_t bytes = kernel.contextBytes();
-    sim::Cycles expect = dma_cfg.setupCycles +
-                         (bytes + dma_cfg.bytesPerCycle - 1) /
-                             dma_cfg.bytesPerCycle;
-    EXPECT_GE(done, expect * dma_cfg.clockPeriod);
+    sim::Cycles expect = mem::dmaSetupCycles +
+                         (bytes + mem::dmaBytesPerCycle - 1) /
+                             mem::dmaBytesPerCycle;
+    EXPECT_GE(done, expect * sim::gpuClockPeriod);
     EXPECT_EQ(cp.maxContextStoreBytes(), bytes);
 }
 

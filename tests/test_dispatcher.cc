@@ -83,7 +83,7 @@ TEST(Dispatcher, LdsBoundsOccupancy)
     mem::Addr counter = system.allocate(64);
     isa::Kernel k = countingKernel(system, 16, 8, counter);
     // Each WG asks for half the CU's LDS: only 2 fit per CU.
-    k.ldsBytes = system.config().gpu.ldsBytesPerCu / 2;
+    k.ldsBytes = gpu::ldsBytesPerCu / 2;
     auto result = system.run(k);
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(system.memory().read(counter, 8), 16);

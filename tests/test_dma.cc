@@ -13,24 +13,22 @@ namespace {
 
 struct DmaFixture : public ::testing::Test
 {
-    DmaFixture() : dma("dma", eq, cfg) {}
+    DmaFixture() : dma("dma", eq) {}
 
     sim::EventQueue eq;
-    DmaConfig cfg;
     DmaEngine dma;
 };
 
 TEST_F(DmaFixture, TransferCyclesModel)
 {
     // setup + ceil(bytes / bandwidth)
-    EXPECT_EQ(dma.transferCycles(0), cfg.setupCycles);
-    EXPECT_EQ(dma.transferCycles(1), cfg.setupCycles + 1);
-    EXPECT_EQ(dma.transferCycles(cfg.bytesPerCycle),
-              cfg.setupCycles + 1);
-    EXPECT_EQ(dma.transferCycles(cfg.bytesPerCycle * 10),
-              cfg.setupCycles + 10);
-    EXPECT_EQ(dma.transferCycles(cfg.bytesPerCycle * 10 + 1),
-              cfg.setupCycles + 11);
+    EXPECT_EQ(dma.transferCycles(0), dmaSetupCycles);
+    EXPECT_EQ(dma.transferCycles(1), dmaSetupCycles + 1);
+    EXPECT_EQ(dma.transferCycles(dmaBytesPerCycle), dmaSetupCycles + 1);
+    EXPECT_EQ(dma.transferCycles(dmaBytesPerCycle * 10),
+              dmaSetupCycles + 10);
+    EXPECT_EQ(dma.transferCycles(dmaBytesPerCycle * 10 + 1),
+              dmaSetupCycles + 11);
 }
 
 TEST_F(DmaFixture, CompletionAtModeledTime)
@@ -38,7 +36,7 @@ TEST_F(DmaFixture, CompletionAtModeledTime)
     sim::Tick done = 0;
     dma.transfer(4096, [&] { done = eq.curTick(); });
     eq.simulate();
-    EXPECT_EQ(done, dma.transferCycles(4096) * cfg.clockPeriod);
+    EXPECT_EQ(done, dma.transferCycles(4096) * sim::gpuClockPeriod);
     EXPECT_TRUE(dma.idle());
 }
 
@@ -51,7 +49,7 @@ TEST_F(DmaFixture, TransfersSerialize)
     EXPECT_FALSE(dma.idle());
     eq.simulate();
     ASSERT_EQ(done.size(), 3u);
-    sim::Tick unit = dma.transferCycles(1024) * cfg.clockPeriod;
+    sim::Tick unit = dma.transferCycles(1024) * sim::gpuClockPeriod;
     EXPECT_EQ(done[0], unit);
     EXPECT_EQ(done[1], 2 * unit);
     EXPECT_EQ(done[2], 3 * unit);

@@ -41,32 +41,30 @@ TEST(Dram, SingleAccessLatency)
 {
     MemRequestPool pool;
     sim::EventQueue eq;
-    DramConfig cfg;
-    Dram dram("dram", eq, cfg);
+    Dram dram("dram", eq);
     Recorder rec(eq);
 
     dram.access(makeRead(pool, 0x40, &rec));
     eq.simulate();
     ASSERT_EQ(rec.done.size(), 1u);
-    EXPECT_EQ(rec.done[0], cfg.accessLatency * cfg.clockPeriod);
+    EXPECT_EQ(rec.done[0], dramAccessLatency * dramClockPeriod);
 }
 
 TEST(Dram, SameChannelSerializesAtBurstRate)
 {
     MemRequestPool pool;
     sim::EventQueue eq;
-    DramConfig cfg;
-    Dram dram("dram", eq, cfg);
+    Dram dram("dram", eq);
     Recorder rec(eq);
 
     // Same channel: addresses separated by channels*interleave.
     for (int i = 0; i < 3; ++i) {
-        Addr addr = 0x40 + i * cfg.channels * cfg.interleaveBytes;
+        Addr addr = 0x40 + i * dramChannels * dramInterleaveBytes;
         dram.access(makeRead(pool, addr, &rec));
     }
     eq.simulate();
     ASSERT_EQ(rec.done.size(), 3u);
-    sim::Tick burst = cfg.burstCycles * cfg.clockPeriod;
+    sim::Tick burst = dramBurstCycles * dramClockPeriod;
     EXPECT_EQ(rec.done[1] - rec.done[0], burst);
     EXPECT_EQ(rec.done[2] - rec.done[1], burst);
 }
@@ -75,24 +73,22 @@ TEST(Dram, DifferentChannelsProceedInParallel)
 {
     MemRequestPool pool;
     sim::EventQueue eq;
-    DramConfig cfg;
-    Dram dram("dram", eq, cfg);
+    Dram dram("dram", eq);
     Recorder rec(eq);
 
-    for (unsigned i = 0; i < cfg.channels; ++i)
-        dram.access(makeRead(pool, i * cfg.interleaveBytes, &rec));
+    for (unsigned i = 0; i < dramChannels; ++i)
+        dram.access(makeRead(pool, i * dramInterleaveBytes, &rec));
     eq.simulate();
-    ASSERT_EQ(rec.done.size(), cfg.channels);
+    ASSERT_EQ(rec.done.size(), dramChannels);
     for (sim::Tick t : rec.done)
-        EXPECT_EQ(t, cfg.accessLatency * cfg.clockPeriod);
+        EXPECT_EQ(t, dramAccessLatency * dramClockPeriod);
 }
 
 TEST(Dram, CountsReadsAndWrites)
 {
     MemRequestPool pool;
     sim::EventQueue eq;
-    DramConfig cfg;
-    Dram dram("dram", eq, cfg);
+    Dram dram("dram", eq);
 
     dram.access(makeRead(pool, 0x0, nullptr));
     MemRequestPtr wr = pool.allocate();

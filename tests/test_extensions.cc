@@ -41,13 +41,11 @@ struct SpillFixture : public ::testing::Test
         cfg.sets = 1;
         cfg.ways = 1;  // one hardware condition: conflicts guaranteed
         cfg.spillPolicy = policy;
-        dram = std::make_unique<mem::Dram>("dram", eq,
-                                           mem::DramConfig{});
+        dram = std::make_unique<mem::Dram>("dram", eq);
         l2 = std::make_unique<mem::L2Cache>("l2", eq,
                                             mem::L2Config{}, *dram,
                                             store, pool);
-        dma = std::make_unique<mem::DmaEngine>("dma", eq,
-                                               mem::DmaConfig{});
+        dma = std::make_unique<mem::DmaEngine>("dma", eq);
         cp = std::make_unique<cp::CommandProcessor>(
             "cp", eq, cp::CpConfig{}, *dma, store);
         cp->setScheduler(&sched);
@@ -142,11 +140,10 @@ TEST_F(SpillFixture, EvictYoungestFallsBackWhenLogIsFull)
     cfg.spillPolicy = SpillPolicy::EvictYoungest;
     cp::CpConfig cp_cfg;
     cp_cfg.monitorLogCapacity = 1;
-    dram = std::make_unique<mem::Dram>("dram", eq, mem::DramConfig{});
+    dram = std::make_unique<mem::Dram>("dram", eq);
     l2 = std::make_unique<mem::L2Cache>("l2", eq, mem::L2Config{},
                                         *dram, store, pool);
-    dma = std::make_unique<mem::DmaEngine>("dma", eq,
-                                           mem::DmaConfig{});
+    dma = std::make_unique<mem::DmaEngine>("dma", eq);
     cp = std::make_unique<cp::CommandProcessor>("cp", eq, cp_cfg,
                                                 *dma, store);
     cp->setScheduler(&sched);

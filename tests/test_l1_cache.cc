@@ -34,8 +34,8 @@ class StubLevel : public MemDevice
 struct L1Fixture : public ::testing::Test, public MemResponder
 {
     L1Fixture()
-        : cfg(), stub(eq, 100 * cfg.clockPeriod),
-          l1("l1", eq, cfg, stub, pool)
+        : stub(eq, 100 * sim::gpuClockPeriod),
+          l1("l1", eq, L1Config{}, stub, pool)
     {}
 
     void
@@ -57,7 +57,6 @@ struct L1Fixture : public ::testing::Test, public MemResponder
 
     MemRequestPool pool;
     sim::EventQueue eq;
-    L1Config cfg;
     StubLevel stub;
     L1Cache l1;
     std::vector<sim::Tick> completions;
@@ -70,13 +69,12 @@ TEST_F(L1Fixture, ColdReadMissesAndFills)
     eq.simulate();
     ASSERT_EQ(completions.size(), 1u);
     // Miss: fill (100 cy stub) + hit latency after fill.
-    sim::Tick expected =
-        (100 + cfg.hitLatency) * cfg.clockPeriod;
+    sim::Tick expected = (100 + l1HitLatency) * sim::gpuClockPeriod;
     EXPECT_EQ(completions[0], expected);
     EXPECT_DOUBLE_EQ(l1.stats().scalar("misses").value(), 1.0);
     // The fill fetched the whole line.
     ASSERT_EQ(stub.accesses.size(), 1u);
-    EXPECT_EQ(stub.accesses[0]->size, cfg.lineBytes);
+    EXPECT_EQ(stub.accesses[0]->size, cacheLineBytes);
 }
 
 TEST_F(L1Fixture, WarmReadHitsLocally)
@@ -92,7 +90,7 @@ TEST_F(L1Fixture, WarmReadHitsLocally)
     ASSERT_EQ(completions.size(), 1u);
     EXPECT_TRUE(stub.accesses.empty());  // no next-level traffic
     EXPECT_LE(completions[0] - start,
-              (cfg.hitLatency + 1) * cfg.clockPeriod);
+              (l1HitLatency + 1) * sim::gpuClockPeriod);
     EXPECT_DOUBLE_EQ(l1.stats().scalar("hits").value(), 1.0);
 }
 

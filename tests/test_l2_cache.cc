@@ -57,7 +57,7 @@ class RecordingObserver : public SyncObserver
 struct L2Fixture : public ::testing::Test, public MemResponder
 {
     L2Fixture()
-        : dram("dram", eq, DramConfig{}),
+        : dram("dram", eq),
           l2("l2", eq, L2Config{}, dram, store, pool)
     {
         l2.setSyncObserver(&observer);
@@ -200,8 +200,8 @@ TEST_F(L2Fixture, SameLineAtomicsSerializeAtRmwTurnaround)
     }
     eq.simulate();
     ASSERT_EQ(done.size(), 3u);
-    sim::Tick gap = l2.config().sameLineAtomicGapCycles *
-                    l2.config().clockPeriod;
+    sim::Tick gap =
+        l2.config().sameLineAtomicGapCycles * sim::gpuClockPeriod;
     EXPECT_EQ(done[1] - done[0], gap);
     EXPECT_EQ(done[2] - done[1], gap);
     EXPECT_EQ(store.read(0x6000, 8), 3);
@@ -214,8 +214,7 @@ TEST_F(L2Fixture, DifferentLineAtomicsPipelineFaster)
         MemRequestPtr req = pool.allocate();
         req->op = MemOp::Atomic;
         // Same bank (banks stride by line), different lines.
-        req->addr = 0x6000 + static_cast<Addr>(i) * 64 *
-                                 l2.config().banks;
+        req->addr = 0x6000 + static_cast<Addr>(i) * 64 * l2Banks;
         req->aop = AtomicOpcode::Add;
         req->operand = 1;
         req->setResponder(this);
@@ -224,8 +223,8 @@ TEST_F(L2Fixture, DifferentLineAtomicsPipelineFaster)
     eq.simulate();
     ASSERT_EQ(done.size(), 2u);
     sim::Tick spacing = done[1] - done[0];
-    sim::Tick gap = l2.config().sameLineAtomicGapCycles *
-                    l2.config().clockPeriod;
+    sim::Tick gap =
+        l2.config().sameLineAtomicGapCycles * sim::gpuClockPeriod;
     EXPECT_LT(spacing, gap);
 }
 
@@ -239,8 +238,8 @@ TEST_F(L2Fixture, MonitoredLinesArePinned)
     completions.clear();
 
     const L2Config &cfg = l2.config();
-    std::size_t sets = cfg.sizeBytes / (cfg.assoc * cfg.lineBytes);
-    Addr stride = static_cast<Addr>(sets) * cfg.lineBytes;
+    std::size_t sets = cfg.sizeBytes / (cfg.assoc * cacheLineBytes);
+    Addr stride = static_cast<Addr>(sets) * cacheLineBytes;
     for (unsigned i = 1; i <= cfg.assoc + 4; ++i)
         issue(MemOp::Read, 0x10000 + i * stride);
     eq.simulate();

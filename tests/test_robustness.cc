@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/fault_plan.hh"
 #include "core/liveness.hh"
@@ -31,28 +33,27 @@ using core::Verdict;
 
 TEST(FaultPlanModel, GeneratorIsDeterministic)
 {
-    core::ChaosSpec spec;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        FaultPlan a = core::generateChaosPlan(spec, seed);
-        FaultPlan b = core::generateChaosPlan(spec, seed);
+        FaultPlan a = core::generateChaosPlan(8, seed);
+        FaultPlan b = core::generateChaosPlan(8, seed);
         EXPECT_EQ(a, b) << "seed " << seed;
         EXPECT_FALSE(a.empty());
     }
-    EXPECT_NE(core::generateChaosPlan(spec, 1),
-              core::generateChaosPlan(spec, 2));
+    EXPECT_NE(core::generateChaosPlan(8, 1),
+              core::generateChaosPlan(8, 2));
 }
 
 TEST(FaultPlanModel, GeneratorEmitsSurvivablePlans)
 {
-    core::ChaosSpec spec;
+    const unsigned num_cus = 8;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        FaultPlan plan = core::generateChaosPlan(spec, seed);
+        FaultPlan plan = core::generateChaosPlan(num_cus, seed);
         for (std::size_t i = 0; i < plan.events.size(); ++i) {
             const core::FaultEvent &ev = plan.events[i];
             if (ev.kind != FaultKind::CuOffline)
                 continue;
             ASSERT_GE(ev.cuId, 0);
-            ASSERT_LT(ev.cuId, static_cast<int>(spec.numCus));
+            ASSERT_LT(ev.cuId, static_cast<int>(num_cus));
             // Every offline edge has a later online edge for the
             // same CU: no plan strands a CU forever.
             bool restored = false;
@@ -86,7 +87,7 @@ TEST(FaultPlanModel, TextRoundTripsEveryPreset)
 
 TEST(FaultPlanModel, TextRoundTripsGeneratedPlans)
 {
-    FaultPlan plan = core::generateChaosPlan(core::ChaosSpec{}, 42);
+    FaultPlan plan = core::generateChaosPlan(8, 42);
     std::string error;
     auto parsed =
         core::parseFaultPlan(core::writeFaultPlan(plan), error);
@@ -129,6 +130,18 @@ TEST(FaultPlanModel, ParserIgnoresCommentsAndBlanks)
 // Construction-time validation
 // ---------------------------------------------------------------
 
+/** What GpuSystem's constructor rejects @p cfg with, or "". */
+std::string
+constructionError(const core::RunConfig &cfg)
+{
+    try {
+        core::GpuSystem sys(cfg);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(ScenarioValidation, RejectsOutOfRangePlanChurnTarget)
 {
     core::RunConfig cfg = test::testRunConfig();
@@ -144,26 +157,61 @@ TEST(ScenarioValidation, RejectsOutOfRangePlanChurnTarget)
 TEST(ScenarioValidation, RejectsAGeometryTheReadyMaskCannotHold)
 {
     // The CU keeps one 64-bit ready mask per SIMD.
-    auto error_of = [](const core::RunConfig &cfg) -> std::string {
-        try {
-            core::GpuSystem sys(cfg);
-        } catch (const std::invalid_argument &e) {
-            return e.what();
-        }
-        return "";
-    };
     core::RunConfig cfg = test::testRunConfig();
     for (unsigned wfs : {0u, 65u}) {
         cfg.gpu.wavefrontsPerSimd = wfs;
-        EXPECT_NE(error_of(cfg).find("wavefrontsPerSimd"),
+        EXPECT_NE(constructionError(cfg).find("wavefrontsPerSimd"),
                   std::string::npos) << wfs;
     }
     cfg.gpu.wavefrontsPerSimd = 64;
-    EXPECT_EQ(error_of(cfg), "");
+    EXPECT_EQ(constructionError(cfg), "");
 
     cfg.gpu.wavefrontsPerSimd = 20;
     cfg.gpu.simdsPerCu = 0;
-    EXPECT_NE(error_of(cfg).find("simdsPerCu"), std::string::npos);
+    EXPECT_NE(constructionError(cfg).find("simdsPerCu"),
+              std::string::npos);
+}
+
+TEST(ScenarioValidation, RejectsAZeroTimeoutInterval)
+{
+    // A zero interval never rescues a waiter: the run would end in a
+    // silent LOST_WAKEUP instead of an error.
+    core::RunConfig cfg = test::testRunConfig(Policy::Timeout);
+    cfg.policy.timeoutIntervalCycles = 0;
+    EXPECT_NE(constructionError(cfg).find("timeoutIntervalCycles"),
+              std::string::npos);
+    cfg.policy.timeoutIntervalCycles = 1;
+    EXPECT_EQ(constructionError(cfg), "");
+}
+
+TEST(ScenarioValidation, RejectsASleepCapOutsideOneToInt64Max)
+{
+    // The Sleep codegen loads the cap into a signed 64-bit register
+    // and s_sleep needs a positive duration.
+    const sim::Cycles int64_max =
+        std::numeric_limits<std::int64_t>::max();
+    core::RunConfig cfg = test::testRunConfig(Policy::Sleep);
+    for (sim::Cycles cap : {sim::Cycles{0}, int64_max + 1}) {
+        cfg.policy.sleepMaxBackoffCycles = cap;
+        EXPECT_NE(constructionError(cfg).find("sleepMaxBackoffCycles"),
+                  std::string::npos) << cap;
+    }
+    for (sim::Cycles cap : {sim::Cycles{1}, int64_max}) {
+        cfg.policy.sleepMaxBackoffCycles = cap;
+        EXPECT_EQ(constructionError(cfg), "") << cap;
+    }
+}
+
+TEST(ScenarioValidation, RejectsASyncMonSetCountThatIsNoPowerOfTwo)
+{
+    core::RunConfig cfg = test::testRunConfig(Policy::Awg);
+    for (unsigned sets : {0u, 3u, 96u}) {
+        cfg.policy.syncmon.sets = sets;
+        EXPECT_NE(constructionError(cfg).find("SyncMonConfig::sets"),
+                  std::string::npos) << sets;
+    }
+    cfg.policy.syncmon.sets = 1;
+    EXPECT_EQ(constructionError(cfg), "");
 }
 
 // ---------------------------------------------------------------
@@ -465,8 +513,7 @@ readFile(const std::string &path)
 
 TEST(ChaosDeterminism, StatsJsonIsByteIdenticalForSamePlanAndSeed)
 {
-    core::ChaosSpec spec;
-    FaultPlan plan = core::generateChaosPlan(spec, 7);
+    FaultPlan plan = core::generateChaosPlan(8, 7);
     auto run_to = [&](const std::string &path) {
         harness::Experiment exp =
             faultedExperiment("SPM_G", Policy::MonNRAll, plan);

@@ -32,13 +32,11 @@ struct SyncMonFixture : public ::testing::Test
     void
     build(SyncMonMode mode, SyncMonConfig cfg = SyncMonConfig{})
     {
-        dram = std::make_unique<mem::Dram>("dram", eq,
-                                           mem::DramConfig{});
+        dram = std::make_unique<mem::Dram>("dram", eq);
         l2 = std::make_unique<mem::L2Cache>("l2", eq,
                                             mem::L2Config{}, *dram,
                                             store, pool);
-        dma = std::make_unique<mem::DmaEngine>("dma", eq,
-                                               mem::DmaConfig{});
+        dma = std::make_unique<mem::DmaEngine>("dma", eq);
         cp = std::make_unique<cp::CommandProcessor>(
             "cp", eq, cp::CpConfig{}, *dma, store);
         cp->setScheduler(&sched);
@@ -287,7 +285,7 @@ TEST_F(SyncMonFixture, MonitoredBitClearsLazilyAfterRetire)
     req->addr = 0x1000;
     req->operand = 7;
     l2->access(req);
-    eq.simulate(eq.curTick() + 1000 * l2->config().clockPeriod);
+    eq.simulate(eq.curTick() + 1000 * sim::gpuClockPeriod);
     ASSERT_EQ(sched.resumed.size(), 1u);
     EXPECT_TRUE(l2->isMonitored(0x1000));  // lazy cleanup grace
     settle();                              // let the idle timer fire

@@ -27,7 +27,7 @@ TEST(L2Behaviour, DirtyVictimsWriteBackToDram)
     mem::MemRequestPool pool;
     sim::EventQueue eq;
     mem::BackingStore store;
-    mem::Dram dram("dram", eq, mem::DramConfig{});
+    mem::Dram dram("dram", eq);
     mem::L2Config cfg;
     cfg.sizeBytes = 8 * 1024;  // tiny: 2 sets x 16 ways x 64 B... 8
     cfg.assoc = 4;
@@ -152,7 +152,7 @@ TEST(MonitorLogBehaviour, AppendsGenerateL2Traffic)
     mem::MemRequestPool pool;
     sim::EventQueue eq;
     mem::BackingStore store;
-    mem::Dram dram("dram", eq, mem::DramConfig{});
+    mem::Dram dram("dram", eq);
     mem::L2Cache l2("l2", eq, mem::L2Config{}, dram, store, pool);
     cp::MonitorLog log(0x9000, 16, store, &l2, &pool);
 

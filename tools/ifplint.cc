@@ -152,7 +152,7 @@ main(int argc, char **argv)
 
             analysis::LaunchContext launch = analysis::makeLaunchContext(
                 kernel, machine.numCus, machine.simdsPerCu,
-                machine.wavefrontsPerSimd, machine.ldsBytesPerCu);
+                machine.wavefrontsPerSimd, gpu::ldsBytesPerCu);
             if (opt.interference) {
                 summaries.push_back(
                     analysis::summarizeInterference(kernel, launch));

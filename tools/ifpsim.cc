@@ -16,7 +16,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "cli.hh"
@@ -57,6 +59,10 @@ struct Options
 /** Largest fault time, in microseconds, whose tick count fits. */
 constexpr std::uint64_t maxFaultUs =
     ifp::sim::maxTick / ifp::sim::ticksFromMicroseconds(1);
+
+/** Largest Sleep backoff cap a kernel register can hold. */
+constexpr ifp::sim::Cycles maxSleepCycles =
+    std::numeric_limits<std::int64_t>::max();
 
 void
 usage()
@@ -109,10 +115,8 @@ usage()
         "  --stats-json FILE      write all statistics as JSON\n";
 }
 
-} // anonymous namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace ifp;
     Options opt;
@@ -146,10 +150,10 @@ main(int argc, char **argv)
             opt.params.iters = parseCount(a, need(i), 1u);
         } else if (!std::strcmp(a, "--timeout-interval")) {
             opt.runCfg.policy.timeoutIntervalCycles =
-                parseCount<sim::Cycles>(a, need(i));
+                parseCount<sim::Cycles>(a, need(i), 1);
         } else if (!std::strcmp(a, "--sleep-max")) {
             opt.runCfg.policy.sleepMaxBackoffCycles =
-                parseCount<sim::Cycles>(a, need(i));
+                parseCount<sim::Cycles>(a, need(i), 1, maxSleepCycles);
         } else if (!std::strcmp(a, "--cu-loss-us")) {
             opt.cuLossUs =
                 parseCount<std::uint64_t>(a, need(i), 0, maxFaultUs);
@@ -213,10 +217,8 @@ main(int argc, char **argv)
     if (!opt.faultPlanArg.empty() && opt.haveChaosSeed)
         ifp_fatal("--fault-plan and --chaos-seed are exclusive");
     if (opt.haveChaosSeed) {
-        core::ChaosSpec spec;
-        spec.numCus = opt.runCfg.gpu.numCus;
-        opt.runCfg.faultPlan =
-            core::generateChaosPlan(spec, opt.chaosSeed);
+        opt.runCfg.faultPlan = core::generateChaosPlan(
+            opt.runCfg.gpu.numCus, opt.chaosSeed);
     } else if (!opt.faultPlanArg.empty()) {
         auto presets = core::faultPlanPresetNames();
         if (std::find(presets.begin(), presets.end(),
@@ -321,4 +323,19 @@ main(int argc, char **argv)
         std::cout << "wrote " << opt.jsonPath << "\n";
     }
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    // GpuSystem rejects a machine or scenario it cannot build (a
+    // fault plan naming a CU it lacks, a SyncMon set count that is
+    // not a power of two, ...) with std::invalid_argument.
+    try {
+        return run(argc, argv);
+    } catch (const std::invalid_argument &e) {
+        ifp_fatal("%s", e.what());
+    }
 }
