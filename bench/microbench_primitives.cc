@@ -90,7 +90,7 @@ BENCHMARK(BM_BloomFilterObserve);
 void
 BM_ConditionCacheInsertFindRemove(benchmark::State &state)
 {
-    syncmon::ConditionCache cc(256, 4, 64);
+    syncmon::ConditionCache cc(256, 4);
     std::uint64_t i = 0;
     for (auto _ : state) {
         mem::Addr addr = 0x1000 + (i % 512) * 64;

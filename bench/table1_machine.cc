@@ -23,15 +23,15 @@ main()
               std::to_string(sim::ticksPerSecond / sim::gpuClockPeriod /
                              1'000'000'000ULL) +
                   " GHz"});
-    t.addRow({"SIMD units / CU", std::to_string(g.simdsPerCu)});
+    t.addRow({"SIMD units / CU", std::to_string(gpu::simdsPerCu)});
     t.addRow({"SIMD width", std::to_string(isa::wavefrontSize)});
     t.addRow({"Wavefronts / SIMD",
-              std::to_string(g.wavefrontsPerSimd)});
+              std::to_string(gpu::wavefrontsPerSimd)});
     t.addRow({"LDS / CU",
               std::to_string(gpu::ldsBytesPerCu / 1024) + " KB"});
     t.addRow({"L1 / CU",
-              std::to_string(g.l1.sizeBytes / 1024) + " KB, " +
-                  std::to_string(g.l1.assoc) + "-way, " +
+              std::to_string(mem::l1SizeBytes / 1024) + " KB, " +
+                  std::to_string(mem::l1Assoc) + "-way, " +
                   std::to_string(mem::l1HitLatency) + " cycles"});
     t.addRow({"L2 shared",
               std::to_string(g.l2.sizeBytes / 1024) + " KB, " +
@@ -53,12 +53,14 @@ main()
     ifp_assert(sim::ticksPerSecond / sim::gpuClockPeriod ==
                    2'000'000'000ULL,
                "Table 1: 2 GHz GPU clock");
-    ifp_assert(g.simdsPerCu == 2, "Table 1: 2 SIMDs per CU");
+    ifp_assert(gpu::simdsPerCu == 2, "Table 1: 2 SIMDs per CU");
     ifp_assert(isa::wavefrontSize == 64, "Table 1: SIMD width 64");
-    ifp_assert(g.wavefrontsPerSimd == 20,
+    ifp_assert(gpu::wavefrontsPerSimd == 20,
                "Table 1: 20 wavefronts per SIMD");
-    ifp_assert(g.l1.sizeBytes == 32 * 1024 && mem::l1HitLatency == 30,
-               "Table 1: 32KB / 30-cycle L1");
+    ifp_assert(gpu::ldsBytesPerCu == 64 * 1024, "Table 1: 64KB LDS per CU");
+    ifp_assert(mem::l1SizeBytes == 32 * 1024 && mem::l1Assoc == 16 &&
+                   mem::l1HitLatency == 30,
+               "Table 1: 32KB 16-way 30-cycle L1");
     ifp_assert(g.l2.sizeBytes == 512 * 1024 && g.l2.assoc == 16 &&
                mem::l2HitLatency == 50,
                "Table 1: 512KB 16-way 50-cycle L2");

@@ -6,39 +6,40 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/passes.hh"
+#include "gpu/cu_geometry.hh"
 #include "sim/json.hh"
 
 namespace ifp::analysis {
 
 unsigned
-baselineResidency(const isa::Kernel &kernel, unsigned num_cus,
-                  unsigned simds_per_cu, unsigned wavefronts_per_simd,
-                  unsigned lds_bytes_per_cu)
+wgsPerCu(const isa::Kernel &kernel)
 {
     unsigned wf_per_wg = kernel.wavefrontsPerWg();
     unsigned per_cu = kernel.maxWgsPerCu;
     if (wf_per_wg > 0) {
-        per_cu = std::min(per_cu,
-                          simds_per_cu * wavefronts_per_simd /
-                              wf_per_wg);
+        per_cu = std::min(per_cu, gpu::simdsPerCu *
+                                      gpu::wavefrontsPerSimd /
+                                      wf_per_wg);
     }
     if (kernel.ldsBytes > 0)
-        per_cu = std::min(per_cu, lds_bytes_per_cu / kernel.ldsBytes);
-    return std::min(kernel.numWgs, num_cus * per_cu);
+        per_cu = std::min(per_cu, gpu::ldsBytesPerCu / kernel.ldsBytes);
+    return per_cu;
+}
+
+unsigned
+baselineResidency(const isa::Kernel &kernel, unsigned num_cus)
+{
+    return std::min(kernel.numWgs, num_cus * wgsPerCu(kernel));
 }
 
 LaunchContext
-makeLaunchContext(const isa::Kernel &kernel, unsigned num_cus,
-                  unsigned simds_per_cu, unsigned wavefronts_per_simd,
-                  unsigned lds_bytes_per_cu)
+makeLaunchContext(const isa::Kernel &kernel, unsigned num_cus)
 {
     LaunchContext ctx;
     ctx.numWgs = kernel.numWgs;
     ctx.wavefrontsPerWg = kernel.wavefrontsPerWg();
     ctx.args.assign(kernel.args.begin(), kernel.args.end());
-    ctx.maxResidentWgs =
-        baselineResidency(kernel, num_cus, simds_per_cu,
-                          wavefronts_per_simd, lds_bytes_per_cu);
+    ctx.maxResidentWgs = baselineResidency(kernel, num_cus);
     return ctx;
 }
 

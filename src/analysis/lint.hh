@@ -3,7 +3,8 @@
  * Lint driver: run every verifier pass over a kernel and collect the
  * report.
  *
- * The analysis layer depends only on isa/ and sim/; callers that know
+ * The analysis layer depends only on isa/ and sim/, and on the CU's
+ * fixed shape (gpu/cu_geometry.hh, constants only); callers that know
  * the machine (tools/ifplint, the dispatcher's lintBeforeDispatch
  * hook) describe the launch with a plain LaunchContext, for which
  * makeLaunchContext() mirrors the dispatcher's Baseline occupancy
@@ -33,21 +34,22 @@
 namespace ifp::analysis {
 
 /**
- * WGs of @p kernel concurrently resident under Baseline (no swap):
- * min(G, CUs * per-CU occupancy), with per-CU occupancy bounded by
- * the kernel's maxWgsPerCu, the SIMD wavefront slots and the LDS
- * capacity — the same limits ComputeUnit::canHost enforces.
+ * WGs of @p kernel one empty CU can hold at once: the kernel's
+ * maxWgsPerCu, bounded by the SIMD wavefront slots and the LDS
+ * capacity — the same limits ComputeUnit::canHost enforces. 0 means
+ * no CU can host a WG of @p kernel.
  */
-unsigned baselineResidency(const isa::Kernel &kernel, unsigned num_cus,
-                           unsigned simds_per_cu,
-                           unsigned wavefronts_per_simd,
-                           unsigned lds_bytes_per_cu);
+unsigned wgsPerCu(const isa::Kernel &kernel);
 
-/** Build the LaunchContext for @p kernel on the described machine. */
+/**
+ * WGs of @p kernel concurrently resident under Baseline (no swap) on
+ * @p num_cus CUs: min(G, CUs * wgsPerCu()).
+ */
+unsigned baselineResidency(const isa::Kernel &kernel, unsigned num_cus);
+
+/** Build the LaunchContext for @p kernel on @p num_cus CUs. */
 LaunchContext makeLaunchContext(const isa::Kernel &kernel,
-                                unsigned num_cus, unsigned simds_per_cu,
-                                unsigned wavefronts_per_simd,
-                                unsigned lds_bytes_per_cu);
+                                unsigned num_cus);
 
 /** Run all passes over @p kernel and return the (sorted) report. */
 Report runLint(const isa::Kernel &kernel, const LaunchContext &launch);

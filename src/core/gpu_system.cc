@@ -51,18 +51,6 @@ RunResult::verdictString() const
 GpuSystem::GpuSystem(const RunConfig &run_cfg)
     : cfg(run_cfg)
 {
-    if (cfg.gpu.simdsPerCu == 0)
-        throw std::invalid_argument("GpuConfig::simdsPerCu is 0; a CU "
-                                    "needs at least one SIMD");
-    if (cfg.gpu.wavefrontsPerSimd == 0 ||
-        cfg.gpu.wavefrontsPerSimd > gpu::maxWavefrontsPerSimd) {
-        throw std::invalid_argument(
-            "GpuConfig::wavefrontsPerSimd is " +
-            std::to_string(cfg.gpu.wavefrontsPerSimd) +
-            "; it must be in 1.." +
-            std::to_string(gpu::maxWavefrontsPerSimd));
-    }
-
     if (cfg.policy.timeoutIntervalCycles == 0)
         throw std::invalid_argument(
             "PolicyConfig::timeoutIntervalCycles is 0; it must be "
@@ -111,10 +99,9 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
     for (unsigned i = 0; i < cfg.gpu.numCus; ++i) {
         std::string cu_name = "cu" + std::to_string(i);
         l1s.push_back(std::make_unique<mem::L1Cache>(
-            cu_name + ".l1", eq, cfg.gpu.l1, *l2cache, pool));
+            cu_name + ".l1", eq, *l2cache, pool));
         cus.push_back(std::make_unique<gpu::ComputeUnit>(
-            cu_name, eq, i, cfg.gpu, *l1s.back(), store, pool,
-            *dispatch));
+            cu_name, eq, i, *l1s.back(), store, pool, *dispatch));
     }
 
     std::vector<gpu::ComputeUnit *> cu_ptrs;
@@ -192,12 +179,22 @@ GpuSystem::allocate(std::uint64_t bytes, std::uint64_t align)
 }
 
 void
-GpuSystem::lintKernel(const isa::Kernel &kernel) const
+GpuSystem::checkKernel(const isa::Kernel &kernel) const
 {
+    if (analysis::wgsPerCu(kernel) == 0) {
+        throw std::invalid_argument(
+            "kernel '" + kernel.name + "' fits no CU: a WG needs " +
+            std::to_string(kernel.wavefrontsPerWg()) +
+            " wavefronts and " + std::to_string(kernel.ldsBytes) +
+            " LDS bytes, with maxWgsPerCu " +
+            std::to_string(kernel.maxWgsPerCu) + "; a CU holds " +
+            std::to_string(gpu::simdsPerCu * gpu::wavefrontsPerSimd) +
+            " wavefronts and " + std::to_string(gpu::ldsBytesPerCu) +
+            " LDS bytes");
+    }
     if (cfg.dispatch.lintBeforeDispatch) {
-        analysis::LaunchContext launch = analysis::makeLaunchContext(
-            kernel, cfg.gpu.numCus, cfg.gpu.simdsPerCu,
-            cfg.gpu.wavefrontsPerSimd, gpu::ldsBytesPerCu);
+        analysis::LaunchContext launch =
+            analysis::makeLaunchContext(kernel, cfg.gpu.numCus);
         analysis::Report report = analysis::runLint(kernel, launch);
         if (!report.diagnostics.empty()) {
             std::ostringstream os;
@@ -217,7 +214,7 @@ int
 GpuSystem::enqueueKernel(const isa::Kernel &kernel,
                          const gpu::LaunchOptions &opts)
 {
-    lintKernel(kernel);
+    checkKernel(kernel);
     int ctx_id = dispatch->createContext(kernel, opts, eq.curTick());
     dispatch->contextArrived(ctx_id);
     return ctx_id;
@@ -229,7 +226,7 @@ GpuSystem::enqueueKernelAt(const isa::Kernel &kernel,
 {
     ifp_assert(at >= eq.curTick(),
                "kernel arrival scheduled in the past");
-    lintKernel(kernel);
+    checkKernel(kernel);
     int ctx_id = dispatch->createContext(kernel, opts, at);
     eq.schedule(at, [this, ctx_id] {
         dispatch->contextArrived(ctx_id);
@@ -312,8 +309,7 @@ GpuSystem::finishRun(const Validator &validator)
                dispatch->numArrivedContexts();
     };
 
-    LivenessOracle oracle(LivenessConfig{}, sim::gpuClockPeriod,
-                          cfg.deadlockWindowCycles);
+    LivenessOracle oracle(cfg.deadlockWindowCycles);
 
     std::uint64_t last_sig = progress_sig();
     sim::Tick next_check = window;

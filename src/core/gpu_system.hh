@@ -159,13 +159,11 @@ class GpuSystem
     /**
      * Composes the machine. Throws std::invalid_argument, naming the
      * field, when the fault plan references a CU the machine does not
-     * have (a churn target out of range), the CU geometry is out of
-     * range (no SIMD, or wavefrontsPerSimd outside
-     * 1..gpu::maxWavefrontsPerSimd), the Timeout interval is 0, the
-     * Sleep backoff cap is outside 1..INT64_MAX (the cap the kernel
-     * loads into a signed register), or the SyncMon set count is not
-     * a power of two — the construction-time errors a caller can
-     * usefully catch, unlike the internal ifp_fatal paths.
+     * have (a churn target out of range), the Timeout interval is 0,
+     * the Sleep backoff cap is outside 1..INT64_MAX (the cap the
+     * kernel loads into a signed register), or the SyncMon set count
+     * is not a power of two — the construction-time errors a caller
+     * can usefully catch, unlike the internal ifp_fatal paths.
      */
     explicit GpuSystem(const RunConfig &cfg);
     ~GpuSystem();
@@ -194,6 +192,9 @@ class GpuSystem
     /**
      * Enqueue @p kernel at the current tick (before serve(): time 0).
      * The context arrives synchronously. @return the context id.
+     * Throws std::invalid_argument, naming the CU's limits, when no
+     * CU can host one of its WGs (analysis::wgsPerCu() is 0), and
+     * when the pre-dispatch lint gate (DispatchOptions) rejects it.
      */
     int enqueueKernel(const isa::Kernel &kernel,
                       const gpu::LaunchOptions &opts = {});
@@ -202,6 +203,7 @@ class GpuSystem
      * Enqueue @p kernel arriving at absolute tick @p at (>= now). The
      * context is pre-created so the id is available immediately; the
      * arrival fires as an ordinary event, keeping runs deterministic.
+     * Throws as enqueueKernel() does.
      */
     int enqueueKernelAt(const isa::Kernel &kernel,
                         const gpu::LaunchOptions &opts, sim::Tick at);
@@ -259,8 +261,11 @@ class GpuSystem
     mem::Addr heapNext = 0x1000'0000ULL;
     std::uint64_t faultsApplied = 0;
 
-    /** Pre-dispatch lint gate (DispatchOptions). */
-    void lintKernel(const isa::Kernel &kernel) const;
+    /**
+     * The enqueue checks: some CU can host a WG of @p kernel, and the
+     * pre-dispatch lint gate (DispatchOptions) passes it.
+     */
+    void checkKernel(const isa::Kernel &kernel) const;
 
     /**
      * The shared run loop: schedule faults, simulate until every

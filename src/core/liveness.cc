@@ -18,13 +18,8 @@ verdictName(Verdict verdict)
     return "?";
 }
 
-LivenessOracle::LivenessOracle(const LivenessConfig &cfg,
-                               sim::Tick clock_period,
-                               sim::Cycles deadlock_window_cycles)
-    : period(clock_period),
-      boundCycles(cfg.lostWakeupBoundCycles > 0
-                      ? cfg.lostWakeupBoundCycles
-                      : deadlock_window_cycles)
+LivenessOracle::LivenessOracle(sim::Cycles deadlock_window_cycles)
+    : boundCycles(deadlock_window_cycles)
 {
 }
 
@@ -45,7 +40,8 @@ LivenessOracle::sample(sim::Tick now,
         if (fresh || it->second.flagged)
             continue;
         sim::Cycles held_cycles =
-            static_cast<sim::Cycles>((now - it->second.since) / period);
+            static_cast<sim::Cycles>((now - it->second.since) /
+                                     sim::gpuClockPeriod);
         if (held_cycles >= boundCycles) {
             it->second.flagged = true;
             lost.push_back({probe.wgId, probe.addr, probe.expected,
@@ -87,8 +83,8 @@ LivenessOracle::finalizeStall(bool queue_empty)
             clock.flagged = true;
             lost.push_back(
                 {wg_id, clock.addr, clock.expected,
-                 static_cast<sim::Cycles>(
-                     (lastSampleTick - clock.since) / period)});
+                 static_cast<sim::Cycles>((lastSampleTick - clock.since) /
+                                          sim::gpuClockPeriod)});
         }
     }
     if (!lost.empty())

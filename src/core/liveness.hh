@@ -48,18 +48,6 @@ enum class Verdict : std::uint8_t
 /** Printable verdict name ("COMPLETE", "LOST_WAKEUP", ...). */
 const char *verdictName(Verdict verdict);
 
-/** Oracle configuration. */
-struct LivenessConfig
-{
-    /**
-     * How long a waiter's condition may hold in memory before the
-     * waiter counts as lost, in GPU cycles. 0 = auto: one deadlock
-     * detection window, which guarantees detection after a single
-     * stalled window at any window size.
-     */
-    sim::Cycles lostWakeupBoundCycles = 0;
-};
-
 /** One waiting WG observed at a sample point. */
 struct WaiterProbe
 {
@@ -97,8 +85,13 @@ struct FaultRecovery
 class LivenessOracle
 {
   public:
-    LivenessOracle(const LivenessConfig &cfg, sim::Tick clock_period,
-                   sim::Cycles deadlock_window_cycles);
+    /**
+     * A waiter counts as lost once its condition has held in memory
+     * for @p deadlock_window_cycles GPU cycles: one detection window,
+     * which guarantees detection after a single stalled window at any
+     * window size.
+     */
+    explicit LivenessOracle(sim::Cycles deadlock_window_cycles);
 
     /**
      * Record one detection-window sample.
@@ -133,7 +126,6 @@ class LivenessOracle
         bool flagged = false;
     };
 
-    sim::Tick period;
     sim::Cycles boundCycles;
 
     /** Condition-held clocks, keyed by WG id. */

@@ -50,6 +50,13 @@ enum class SyncStyle
     WaitAtomic,    //!< waiting atomics (Timeout/MonNR/AWG)
 };
 
+/**
+ * The Sleep policy's default backoff cap, in GPU cycles: the default
+ * of PolicyConfig::sleepMaxBackoffCycles and of the codegen caps that
+ * take their value from it.
+ */
+constexpr sim::Cycles defaultSleepMaxBackoffCycles = 16'384;
+
 /** Parameters of a policy instance. */
 struct PolicyConfig
 {
@@ -57,7 +64,7 @@ struct PolicyConfig
     /** Timeout policy: the fixed stall/switch interval. */
     sim::Cycles timeoutIntervalCycles = 20'000;
     /** Sleep policy: maximum backoff interval. */
-    sim::Cycles sleepMaxBackoffCycles = 16'384;
+    sim::Cycles sleepMaxBackoffCycles = defaultSleepMaxBackoffCycles;
     syncmon::SyncMonConfig syncmon;
 };
 

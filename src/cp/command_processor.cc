@@ -23,7 +23,7 @@ CommandProcessor::CommandProcessor(std::string name, sim::EventQueue &eq,
                                    mem::BackingStore &backing,
                                    mem::MemDevice *l2,
                                    mem::MemRequestPool *request_pool)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+    : Clocked(std::move(name), eq),
       dma(dma_engine),
       store(backing),
       log(monitorLogBase, cfg.monitorLogCapacity, backing, l2,
@@ -212,7 +212,6 @@ CommandProcessor::housekeeping()
     for (int wg_id : rescued) {
         rescueDeadlines.erase(wg_id);
         ++rescuesFired;
-        ++rescuesFiredCount;
         if (scheduler)
             scheduler->resumeWg(wg_id);
     }

@@ -146,7 +146,10 @@ class CommandProcessor : public sim::Clocked,
     {
         return maxContextBytes;
     }
-    std::uint64_t rescueResumes() const { return rescuesFiredCount; }
+    std::uint64_t rescueResumes() const
+    {
+        return static_cast<std::uint64_t>(rescuesFired.value());
+    }
     /// @}
 
     sim::StatGroup &stats() { return statGroup; }
@@ -189,7 +192,6 @@ class CommandProcessor : public sim::Clocked,
     std::uint64_t currentContextBytes = 0;
     std::uint64_t maxContextBytes = 0;
     unsigned maxSpilled = 0;
-    std::uint64_t rescuesFiredCount = 0;
 
     sim::StatGroup statGroup;
     sim::Scalar &contextSavesStat;

@@ -208,11 +208,9 @@ exhaustive(const workloads::LitmusWorkload &litmus,
         core::GpuSystem scratch(run_cfg);
         isa::Kernel kernel =
             litmus.build(scratch, litmusParams(litmus.spec(), run_cfg.policy));
-        const gpu::GpuConfig &machine = run_cfg.gpu;
         commut = std::make_unique<analysis::CommutativityOracle>(
-            kernel, analysis::makeLaunchContext(
-                        kernel, machine.numCus, machine.simdsPerCu,
-                        machine.wavefrontsPerSimd, gpu::ldsBytesPerCu));
+            kernel,
+            analysis::makeLaunchContext(kernel, run_cfg.gpu.numCus));
     }
     auto independent = [&](const analysis::SchedAction &x,
                            const analysis::SchedAction &y) {
@@ -434,11 +432,9 @@ lintCrossCheck(const workloads::LitmusWorkload &litmus)
         params.style = style;
         isa::Kernel kernel = litmus.build(scratch, params);
 
-        const gpu::GpuConfig &machine = run_cfg.gpu;
         analysis::Report report = analysis::runLint(
-            kernel, analysis::makeLaunchContext(
-                        kernel, machine.numCus, machine.simdsPerCu,
-                        machine.wavefrontsPerSimd, gpu::ldsBytesPerCu));
+            kernel,
+            analysis::makeLaunchContext(kernel, run_cfg.gpu.numCus));
 
         std::vector<std::string> found;
         for (const analysis::Diagnostic &d : report.diagnostics) {

@@ -15,21 +15,16 @@ constexpr sim::Cycles ldsLatency = 4;
 } // anonymous namespace
 
 ComputeUnit::ComputeUnit(std::string name, sim::EventQueue &eq,
-                         unsigned cu_id, const GpuConfig &cfg,
-                         mem::MemDevice &l1_dev,
+                         unsigned cu_id, mem::MemDevice &l1_dev,
                          mem::BackingStore &backing,
                          mem::MemRequestPool &request_pool,
                          CuListener &cu_listener)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+    : Clocked(std::move(name), eq),
       id(cu_id),
-      config(cfg),
       l1(l1_dev),
       store(backing),
       pool(request_pool),
       listener(cu_listener),
-      simdWfs(cfg.simdsPerCu),
-      readyMask(cfg.simdsPerCu, 0),
-      rrIndex(cfg.simdsPerCu, 0),
       statGroup(this->name()),
       numInstructions(statGroup.addScalar("instructions",
                                           "instructions issued")),
@@ -63,12 +58,12 @@ ComputeUnit::canHost(const isa::Kernel &kernel) const
         return false;
 
     // Greedy least-loaded assignment of the WG's wavefronts.
-    std::vector<unsigned> load(config.simdsPerCu);
-    for (unsigned s = 0; s < config.simdsPerCu; ++s)
+    std::array<unsigned, simdsPerCu> load{};
+    for (unsigned s = 0; s < simdsPerCu; ++s)
         load[s] = simdWfs[s].size();
     for (unsigned w = 0; w < kernel.wavefrontsPerWg(); ++w) {
         auto it = std::min_element(load.begin(), load.end());
-        if (*it >= config.wavefrontsPerSimd)
+        if (*it >= wavefrontsPerSimd)
             return false;
         ++*it;
     }
@@ -86,14 +81,14 @@ ComputeUnit::placeWg(WorkGroup *wg)
 
     for (auto &wf : wg->wavefronts) {
         unsigned best = 0;
-        for (unsigned s = 1; s < config.simdsPerCu; ++s) {
+        for (unsigned s = 1; s < simdsPerCu; ++s) {
             if (simdWfs[s].size() < simdWfs[best].size())
                 best = s;
         }
         wf->simdSlot = best;
         simdWfs[best].push_back(wf.get());
     }
-    for (unsigned s = 0; s < config.simdsPerCu; ++s)
+    for (unsigned s = 0; s < simdsPerCu; ++s)
         rebuildSimd(s);
 }
 
@@ -107,7 +102,7 @@ ComputeUnit::removeWg(WorkGroup *wg)
     ldsUsed -= wg->kernel->ldsBytes;
     wg->cuId = -1;
 
-    for (unsigned s = 0; s < config.simdsPerCu; ++s) {
+    for (unsigned s = 0; s < simdsPerCu; ++s) {
         std::erase_if(simdWfs[s], [wg](const Wavefront *wf) {
             return wf->wg == wg;
         });
@@ -250,7 +245,7 @@ ComputeUnit::issueCandidates(unsigned s, unsigned *out,
 bool
 ComputeUnit::anyIssuable() const
 {
-    for (unsigned s = 0; s < config.simdsPerCu; ++s) {
+    for (unsigned s = 0; s < simdsPerCu; ++s) {
         unsigned idx = 0;
         if (issueCandidates(s, &idx, 1) > 0)
             return true;
@@ -263,13 +258,13 @@ ComputeUnit::oraclePick(unsigned s, unsigned &idx) const
 {
     // Candidate 0 is the stock pick; the oracle may issue any of them
     // (SIMT arbitration order is unspecified).
-    unsigned cands[maxWavefrontsPerSimd];
-    const unsigned found = issueCandidates(s, cands, maxWavefrontsPerSimd);
+    unsigned cands[wavefrontsPerSimd];
+    const unsigned found = issueCandidates(s, cands, wavefrontsPerSimd);
     if (found == 0)
         return false;
     unsigned pick = 0;
     if (found > 1) {
-        int actors[maxWavefrontsPerSimd];
+        int actors[wavefrontsPerSimd];
         for (unsigned c = 0; c < found; ++c)
             actors[c] = simdWfs[s][cands[c]]->wg->id;
         pick = oracle->chooseWithActors(sim::ChoicePoint::WavefrontIssue,
@@ -284,7 +279,7 @@ ComputeUnit::tick()
 {
     bool issued = false;
 
-    for (unsigned s = 0; s < config.simdsPerCu; ++s) {
+    for (unsigned s = 0; s < simdsPerCu; ++s) {
         unsigned idx = 0;
         const bool found = oracle ? oraclePick(s, idx)
                                   : issueCandidates(s, &idx, 1) > 0;

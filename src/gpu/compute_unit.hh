@@ -20,12 +20,13 @@
 #ifndef IFP_GPU_COMPUTE_UNIT_HH
 #define IFP_GPU_COMPUTE_UNIT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
-#include "gpu/gpu_config.hh"
+#include "gpu/cu_geometry.hh"
 #include "gpu/sched_iface.hh"
 #include "gpu/workgroup.hh"
 #include "mem/backing_store.hh"
@@ -43,8 +44,7 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
   public:
     /** @p listener (the dispatcher) hears completions and yields. */
     ComputeUnit(std::string name, sim::EventQueue &eq, unsigned cu_id,
-                const GpuConfig &cfg, mem::MemDevice &l1,
-                mem::BackingStore &store,
+                mem::MemDevice &l1, mem::BackingStore &store,
                 mem::MemRequestPool &request_pool,
                 CuListener &listener);
 
@@ -156,7 +156,6 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     void doBarrier(Wavefront &wf);
 
     unsigned id;
-    const GpuConfig &config;
     mem::MemDevice &l1;
     mem::BackingStore &store;
     mem::MemRequestPool &pool;
@@ -165,10 +164,12 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     sim::TraceSink *trace = nullptr;
     sim::SchedOracle *oracle = nullptr;
 
-    std::vector<std::vector<Wavefront *>> simdWfs;
+    std::array<std::vector<Wavefront *>, simdsPerCu> simdWfs;
     /** Bit i of readyMask[s] set iff simdWfs[s][i] is Ready. */
-    std::vector<std::uint64_t> readyMask;
-    std::vector<unsigned> rrIndex;
+    std::array<std::uint64_t, simdsPerCu> readyMask{};
+    static_assert(wavefrontsPerSimd <= 64,
+                  "a SIMD's wavefronts must fit its 64-bit ready mask");
+    std::array<unsigned, simdsPerCu> rrIndex{};
     std::vector<WorkGroup *> resident;
     unsigned ldsUsed = 0;
     bool offlineFlag = false;

@@ -25,7 +25,7 @@ contextStateName(ContextState state)
 
 Dispatcher::Dispatcher(std::string name, sim::EventQueue &eq,
                        ContextSwitcher &cs, AdmissionPolicy &adm)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+    : Clocked(std::move(name), eq),
       switcher(cs),
       admission(adm),
       statGroup(this->name()),
@@ -654,7 +654,7 @@ Dispatcher::setCuAssignment(const std::vector<int> &owner)
 void
 Dispatcher::accumulateWgCycleStats(sim::Tick end_tick)
 {
-    double period = static_cast<double>(clockPeriod());
+    double period = static_cast<double>(sim::gpuClockPeriod);
     for (auto &w : wgs) {
         // Completed WGs closed their books at completeTick; anything
         // still alive (deadlocked / stranded) is charged to end_tick.

@@ -53,9 +53,9 @@ class CacheTags
         bool noWayFree = false;   //!< all ways pinned: insertion failed
     };
 
-    CacheTags(std::size_t size_bytes, unsigned assoc, unsigned line_bytes)
-        : lineBytes(line_bytes), associativity(assoc),
-          numSets(size_bytes / (assoc * line_bytes)),
+    CacheTags(std::size_t size_bytes, unsigned assoc)
+        : associativity(assoc),
+          numSets(size_bytes / (assoc * cacheLineBytes)),
           lines(std::make_unique_for_overwrite<Line[]>(numSets * assoc)),
           lineEpoch(numSets * assoc, invalidEpoch), useCounters(numSets, 0)
     {
@@ -65,7 +65,7 @@ class CacheTags
     }
 
     /** Align an address down to its line base. */
-    Addr lineOf(Addr addr) const { return addr & ~Addr(lineBytes - 1); }
+    Addr lineOf(Addr addr) const { return addr & ~Addr(cacheLineBytes - 1); }
 
     /** Find the line containing @p addr; nullptr on miss. */
     Line *
@@ -155,7 +155,6 @@ class CacheTags
 
     std::size_t sets() const { return numSets; }
     unsigned ways() const { return associativity; }
-    unsigned lineSize() const { return lineBytes; }
 
     /** Count currently valid lines (used by tests). */
     std::size_t
@@ -170,10 +169,9 @@ class CacheTags
 
     std::size_t setOf(Addr line_addr) const
     {
-        return (line_addr / lineBytes) & (numSets - 1);
+        return (line_addr / cacheLineBytes) & (numSets - 1);
     }
 
-    unsigned lineBytes;
     unsigned associativity;
     std::size_t numSets;
     std::unique_ptr<Line[]> lines;

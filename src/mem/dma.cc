@@ -5,7 +5,7 @@
 namespace ifp::mem {
 
 DmaEngine::DmaEngine(std::string name, sim::EventQueue &eq)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+    : Clocked(std::move(name), eq),
       statGroup(this->name()),
       numTransfers(statGroup.addScalar("transfers",
                                        "bulk transfers completed")),

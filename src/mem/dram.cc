@@ -5,7 +5,7 @@
 namespace ifp::mem {
 
 Dram::Dram(std::string name, sim::EventQueue &eq)
-    : Clocked(std::move(name), eq, dramClockPeriod),
+    : SimObject(std::move(name), eq),
       channelState(dramChannels),
       statGroup(this->name()),
       numReads(statGroup.addScalar("reads", "requests serviced (reads)")),
@@ -61,8 +61,8 @@ Dram::drainChannel(unsigned idx)
     else
         ++numReads;
 
-    ch.busyUntil = now + cyclesToTicks(dramBurstCycles);
-    sim::Tick done = now + cyclesToTicks(dramAccessLatency);
+    ch.busyUntil = now + dramBurstCycles * dramClockPeriod;
+    sim::Tick done = now + dramAccessLatency * dramClockPeriod;
     eventq().schedule(done, [r = std::move(req)] { r->respond(); },
                       "dram.resp");
 

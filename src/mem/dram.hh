@@ -38,9 +38,10 @@ constexpr unsigned dramInterleaveBytes = 64;
 
 /**
  * Multi-channel DRAM. Implements MemDevice; responds to each request
- * after queueing + latency.
+ * after queueing + latency. Not a sim::Clocked: it runs on its own
+ * clock, dramClockPeriod.
  */
-class Dram : public sim::Clocked, public MemDevice
+class Dram : public sim::SimObject, public MemDevice
 {
   public:
     Dram(std::string name, sim::EventQueue &eq);

@@ -7,10 +7,9 @@
 namespace ifp::mem {
 
 L1Cache::L1Cache(std::string name, sim::EventQueue &eq,
-                 const L1Config &cfg, MemDevice &next_level,
-                 MemRequestPool &request_pool)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
-      tags(cfg.sizeBytes, cfg.assoc, cacheLineBytes),
+                 MemDevice &next_level, MemRequestPool &request_pool)
+    : Clocked(std::move(name), eq),
+      tags(l1SizeBytes, l1Assoc),
       next(next_level),
       pool(request_pool),
       statGroup(this->name()),

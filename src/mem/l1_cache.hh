@@ -23,12 +23,13 @@
 
 namespace ifp::mem {
 
-/** L1 cache configuration (defaults per Table 1). */
-struct L1Config
-{
-    std::size_t sizeBytes = 32 * 1024;
-    unsigned assoc = 16;
-};
+/// @name L1 geometry (Table 1)
+/// @{
+/** Capacity of one CU's L1, in bytes. */
+constexpr std::size_t l1SizeBytes = 32 * 1024;
+/** Ways per L1 set. */
+constexpr unsigned l1Assoc = 16;
+/// @}
 
 /** Load-to-use latency of an L1 hit, in GPU cycles (Table 1). */
 constexpr sim::Cycles l1HitLatency = 30;
@@ -40,8 +41,8 @@ class L1Cache : public sim::Clocked, public MemDevice,
                 public MemResponder
 {
   public:
-    L1Cache(std::string name, sim::EventQueue &eq, const L1Config &cfg,
-            MemDevice &next_level, MemRequestPool &request_pool);
+    L1Cache(std::string name, sim::EventQueue &eq, MemDevice &next_level,
+            MemRequestPool &request_pool);
 
     void access(const MemRequestPtr &req) override;
 

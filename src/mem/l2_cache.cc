@@ -10,12 +10,12 @@ namespace ifp::mem {
 L2Cache::L2Cache(std::string name, sim::EventQueue &eq,
                  const L2Config &config, MemDevice &dram_dev,
                  BackingStore &backing, MemRequestPool &request_pool)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+    : Clocked(std::move(name), eq),
       cfg(config),
       dram(dram_dev),
       store(backing),
       pool(request_pool),
-      tags(config.sizeBytes, config.assoc, cacheLineBytes),
+      tags(config.sizeBytes, config.assoc),
       banks(l2Banks),
       statGroup(this->name()),
       hits(statGroup.addScalar("hits", "accesses hitting in the tags")),

@@ -3,8 +3,10 @@
  * Named simulation objects and clock-domain helpers.
  *
  * SimObject gives every model a name for tracing and stats registration.
- * Clocked adds a clock period and the cycle/tick conversions every
- * timing model needs (mirrors gem5's ClockedObject).
+ * Clocked is a SimObject on the GPU clock (sim::gpuClockPeriod) with
+ * the cycle/tick conversions its timing models need (after gem5's
+ * ClockedObject). The DRAM, the one device on another clock, is a
+ * plain SimObject that converts with mem::dramClockPeriod.
  */
 
 #ifndef IFP_SIM_CLOCKED_HH
@@ -14,7 +16,6 @@
 #include <utility>
 
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace ifp::sim {
@@ -49,22 +50,12 @@ class SimObject
 };
 
 /**
- * A SimObject that belongs to a clock domain.
+ * A SimObject on the GPU clock.
  */
 class Clocked : public SimObject
 {
   public:
-    Clocked(std::string name, EventQueue &eq, Tick clock_period)
-        : SimObject(std::move(name), eq), period(clock_period)
-    {
-        ifp_assert(period > 0, "clock period must be positive");
-    }
-
-    /** Length of one clock cycle in ticks. */
-    Tick clockPeriod() const { return period; }
-
-    /** Current time expressed in local cycles (truncating). */
-    Cycles curCycle() const { return curTick() / period; }
+    using SimObject::SimObject;
 
     /**
      * The tick of the next clock edge at least @p cycles cycles in the
@@ -75,18 +66,13 @@ class Clocked : public SimObject
     clockEdge(Cycles cycles = 0) const
     {
         Tick now = curTick();
-        Tick edge = ((now + period - 1) / period) * period;
-        return edge + cycles * period;
+        Tick edge = ((now + gpuClockPeriod - 1) / gpuClockPeriod) *
+                    gpuClockPeriod;
+        return edge + cycles * gpuClockPeriod;
     }
 
-    /** Convert a cycle count of this domain into ticks. */
-    Tick cyclesToTicks(Cycles cycles) const { return cycles * period; }
-
-    /** Convert ticks into (truncated) cycles of this domain. */
-    Cycles ticksToCycles(Tick ticks) const { return ticks / period; }
-
-  private:
-    Tick period;
+    /** Convert a count of GPU cycles into ticks. */
+    Tick cyclesToTicks(Cycles cycles) const { return cycles * gpuClockPeriod; }
 };
 
 } // namespace ifp::sim

@@ -2,9 +2,10 @@
  * @file
  * Fundamental simulation types: ticks, cycles and addresses.
  *
- * The simulator counts time in abstract "ticks". Every clocked component
- * converts its local cycle count into ticks through its clock period
- * (see sim/clocked.hh). With the GPU clock of 2 GHz and a tick
+ * The simulator counts time in abstract "ticks". A component converts
+ * its cycle counts into ticks through its clock's period: every
+ * sim::Clocked one through gpuClockPeriod, the DRAM through
+ * mem::dramClockPeriod. With the GPU clock of 2 GHz and a tick
  * resolution of 1 ps, one GPU cycle equals 500 ticks.
  */
 

@@ -2,9 +2,17 @@
 
 #include <bit>
 
+#include "mem/cache_tags.hh"
 #include "sim/logging.hh"
 
 namespace ifp::syncmon {
+
+namespace {
+
+/** Bits of a cacheline offset, which a condition key drops. */
+constexpr unsigned log2Line = std::bit_width(mem::cacheLineBytes) - 1;
+
+} // anonymous namespace
 
 WaitingWgList::WaitingWgList(unsigned capacity)
     : nodes(capacity)
@@ -73,12 +81,10 @@ WaitingWgList::setNext(int index, int next_index)
     nodes[index].next = next_index;
 }
 
-ConditionCache::ConditionCache(unsigned num_sets, unsigned num_ways,
-                               unsigned line_bytes)
+ConditionCache::ConditionCache(unsigned num_sets, unsigned num_ways)
     : sets(num_sets),
       ways(num_ways),
       log2Entries(std::bit_width(num_sets * num_ways) - 1),
-      log2Line(std::bit_width(line_bytes) - 1),
       hasher(0x2545F4914F6CDD1DULL, 0x9E3779B9ULL),
       entries(num_sets * num_ways)
 {

@@ -89,8 +89,7 @@ class ConditionCache
         sim::Tick createdTick = 0;
     };
 
-    ConditionCache(unsigned num_sets = 256, unsigned num_ways = 4,
-                   unsigned line_bytes = 64);
+    ConditionCache(unsigned num_sets = 256, unsigned num_ways = 4);
 
     /** Find the condition entry for (addr, value); null on miss. */
     Entry *find(mem::Addr addr, mem::MemValue value, bool addr_only);
@@ -149,7 +148,6 @@ class ConditionCache
     unsigned sets;
     unsigned ways;
     unsigned log2Entries;
-    unsigned log2Line;
     UniversalHash hasher;
     std::vector<Entry> entries;
     std::unordered_multimap<mem::Addr, Entry *> addrIndex;

@@ -39,13 +39,13 @@ SyncMonController::SyncMonController(std::string name,
                                      mem::L2Cache &l2_cache,
                                      mem::BackingStore &backing,
                                      cp::CommandProcessor &cp_dev)
-    : Clocked(std::move(name), eq, sim::gpuClockPeriod),
+    : Clocked(std::move(name), eq),
       policyMode(mode),
       config(cfg),
       l2(l2_cache),
       store(backing),
       cp(cp_dev),
-      conds(cfg.sets, cfg.ways, mem::cacheLineBytes),
+      conds(cfg.sets, cfg.ways),
       waiters(cfg.waitingListCapacity),
       statGroup(this->name()),
       registrations(statGroup.addScalar("registrations",
@@ -107,14 +107,14 @@ SyncMonController::predictStall(mem::Addr addr) const
     auto it = stallEwma.find(addr);
     if (it == stallEwma.end())
         return defaultStallCycles;
-    return static_cast<sim::Cycles>(it->second / clockPeriod());
+    return static_cast<sim::Cycles>(it->second / sim::gpuClockPeriod);
 }
 
 void
 SyncMonController::observeWaitLatency(mem::Addr addr, sim::Tick waited)
 {
     waitLatency.sample(static_cast<double>(waited) /
-                       static_cast<double>(clockPeriod()));
+                       static_cast<double>(sim::gpuClockPeriod));
     auto [it, fresh] = stallEwma.try_emplace(
         addr, static_cast<double>(waited));
     if (!fresh) {

@@ -19,23 +19,6 @@ constexpr isa::Reg rHiAddr = 31;
 constexpr isa::Reg rScratch = 26;
 constexpr isa::Reg rScratch2 = 27;
 
-isa::Kernel
-finishKernel(KernelBuilder &b, const std::string &name,
-             const WorkloadParams &params, unsigned vgprs)
-{
-    isa::Kernel k;
-    k.name = name;
-    k.code = b.build();
-    k.lintSuppressions = b.suppressions();
-    k.wiPerWg = params.wiPerWg;
-    k.numWgs = params.numWgs;
-    k.vgprsPerWi = vgprs;
-    k.sgprsPerWf = 32;
-    k.ldsBytes = 1024;
-    k.maxWgsPerCu = params.wgsPerGroup;
-    return k;
-}
-
 /**
  * Emit dst = (wgId * mul1 + iter * mul2) % modulus into @p dst.
  * A cheap deterministic mixing function for data-dependent indices.
@@ -121,7 +104,8 @@ HashTableWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 22);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 22, 1024);
 }
 
 bool
@@ -253,7 +237,8 @@ BankAccountWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 26);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 26, 1024);
 }
 
 bool

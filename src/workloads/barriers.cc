@@ -18,24 +18,6 @@ constexpr isa::Reg rGroupFirst = 29;
 constexpr isa::Reg rArriveOld = 30;
 constexpr isa::Reg rIdx = 31;
 
-isa::Kernel
-finishKernel(KernelBuilder &b, const std::string &name,
-             const WorkloadParams &params, unsigned vgprs,
-             unsigned lds_bytes)
-{
-    isa::Kernel k;
-    k.name = name;
-    k.code = b.build();
-    k.lintSuppressions = b.suppressions();
-    k.wiPerWg = params.wiPerWg;
-    k.numWgs = params.numWgs;
-    k.vgprsPerWi = vgprs;
-    k.sgprsPerWf = 32;
-    k.ldsBytes = lds_bytes;
-    k.maxWgsPerCu = params.wgsPerGroup;
-    return k;
-}
-
 /** Per-round LDS exchange performed by every wavefront (EX variants). */
 void
 emitLdsExchange(KernelBuilder &b, const WorkloadParams &params)
@@ -211,7 +193,8 @@ TreeBarrierWorkload::build(core::GpuSystem &system,
     b.bar();
     b.halt();
 
-    return finishKernel(b, abbrev(), params, exchange ? 34 : 24,
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, exchange ? 34 : 24,
                         exchange ? 2048 : 1024);
 }
 
@@ -446,7 +429,8 @@ LfTreeBarrierWorkload::build(core::GpuSystem &system,
     b.bar();
     b.halt();
 
-    return finishKernel(b, abbrev(), params, exchange ? 38 : 28,
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, exchange ? 38 : 28,
                         exchange ? 2048 : 1024);
 }
 

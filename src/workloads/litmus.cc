@@ -221,17 +221,8 @@ LitmusWorkload::build(core::GpuSystem &system,
     }
     b.halt();
 
-    isa::Kernel k;
-    k.name = name();
-    k.code = b.build();
-    k.lintSuppressions = b.suppressions();
-    k.wiPerWg = 1;
-    k.numWgs = litmus.numWgs;
-    k.vgprsPerWi = 8;
-    k.sgprsPerWf = 32;
-    k.ldsBytes = 0;
-    k.maxWgsPerCu = litmus.maxWgsPerCu;
-    return k;
+    return finishKernel(b, name(), litmus.numWgs, /*wi_per_wg=*/1,
+                        litmus.maxWgsPerCu, /*vgprs=*/8, /*lds_bytes=*/0);
 }
 
 bool

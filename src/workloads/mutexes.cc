@@ -21,25 +21,6 @@ constexpr isa::Reg rMyTicket = 26;
 constexpr isa::Reg rConst = 27;
 /// @}
 
-/** Shared kernel metadata assembly. */
-isa::Kernel
-finishKernel(KernelBuilder &b, const std::string &name,
-             const WorkloadParams &params, unsigned vgprs,
-             unsigned lds_bytes)
-{
-    isa::Kernel k;
-    k.name = name;
-    k.code = b.build();
-    k.lintSuppressions = b.suppressions();
-    k.wiPerWg = params.wiPerWg;
-    k.numWgs = params.numWgs;
-    k.vgprsPerWi = vgprs;
-    k.sgprsPerWf = 32;
-    k.ldsBytes = lds_bytes;
-    k.maxWgsPerCu = params.wgsPerGroup;
-    return k;
-}
-
 /** Emit group index and per-group addresses into the fixed regs. */
 void
 emitGroupAddrs(KernelBuilder &b, unsigned group_size,
@@ -154,7 +135,8 @@ SpinMutexWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, backoff ? 14 : 10, 1024);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, backoff ? 14 : 10, 1024);
 }
 
 bool
@@ -241,7 +223,8 @@ FaMutexWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 16, 1024);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 16, 1024);
 }
 
 bool
@@ -350,7 +333,8 @@ SleepMutexWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 18, 1024);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 18, 1024);
 }
 
 bool

@@ -24,23 +24,6 @@ constexpr isa::Reg rVict = 29;      //!< WSD victim distance
 constexpr isa::Reg rVictim = 30;    //!< WSD victim WG id
 /// @}
 
-isa::Kernel
-finishKernel(KernelBuilder &b, const std::string &name,
-             const WorkloadParams &params, unsigned vgprs)
-{
-    isa::Kernel k;
-    k.name = name;
-    k.code = b.build();
-    k.lintSuppressions = b.suppressions();
-    k.wiPerWg = params.wiPerWg;
-    k.numWgs = params.numWgs;
-    k.vgprsPerWi = vgprs;
-    k.sgprsPerWf = 32;
-    k.ldsBytes = 1024;
-    k.maxWgsPerCu = params.wgsPerGroup;
-    return k;
-}
-
 /**
  * Load r[rSyncAddr] with the address of ring slot (ticket % depth):
  * ring_base + (ticket % depth) * 64. Clobbers rTmp1.
@@ -173,7 +156,8 @@ MpmcQueueWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 24);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 24, 1024);
 }
 
 bool
@@ -386,7 +370,8 @@ PipelineWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 28);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 28, 1024);
 }
 
 bool
@@ -554,7 +539,8 @@ WorkStealWorkload::build(core::GpuSystem &system,
     b.bind(l_end);
     b.bar();
     b.halt();
-    return finishKernel(b, abbrev(), params, 26);
+    return finishKernel(b, abbrev(), params.numWgs, params.wiPerWg,
+                        params.wgsPerGroup, 26, 1024);
 }
 
 bool

@@ -1,5 +1,7 @@
 #include "workloads/sync_emitters.hh"
 
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace ifp::workloads {
@@ -290,6 +292,23 @@ emitWaitCounterReach(KernelBuilder &b, const StyleParams &sp,
       }
     }
     ifp_panic("unknown sync style");
+}
+
+isa::Kernel
+finishKernel(KernelBuilder &b, std::string name, unsigned num_wgs,
+             unsigned wi_per_wg, unsigned max_wgs_per_cu, unsigned vgprs,
+             unsigned lds_bytes)
+{
+    isa::Kernel k;
+    k.name = std::move(name);
+    k.code = b.build();
+    k.lintSuppressions = b.suppressions();
+    k.wiPerWg = wi_per_wg;
+    k.numWgs = num_wgs;
+    k.vgprsPerWi = vgprs;
+    k.ldsBytes = lds_bytes;
+    k.maxWgsPerCu = max_wgs_per_cu;
+    return k;
 }
 
 } // namespace ifp::workloads

@@ -20,8 +20,11 @@
 #ifndef IFP_WORKLOADS_SYNC_EMITTERS_HH
 #define IFP_WORKLOADS_SYNC_EMITTERS_HH
 
+#include <string>
+
 #include "core/policy.hh"
 #include "isa/builder.hh"
+#include "isa/kernel.hh"
 
 namespace ifp::workloads {
 
@@ -43,7 +46,7 @@ constexpr isa::Reg rTmp1 = 25;
 struct StyleParams
 {
     core::SyncStyle style = core::SyncStyle::Busy;
-    std::int64_t backoffMax = 16'384;
+    std::int64_t backoffMax = core::defaultSleepMaxBackoffCycles;
     /** SPMBO: software delay-loop backoff instead of s_sleep. */
     bool softwareBackoff = false;
 };
@@ -105,6 +108,18 @@ void emitWaitSeqEq(isa::KernelBuilder &b, const StyleParams &sp,
 void emitWaitCounterReach(isa::KernelBuilder &b, const StyleParams &sp,
                           isa::Reg addr_reg, std::int64_t offset,
                           isa::Reg target_reg);
+
+/**
+ * The descriptor of the kernel @p b holds, with @p b's lint
+ * suppressions: @p num_wgs WGs of @p wi_per_wg work-items, at most
+ * @p max_wgs_per_cu of them on one CU, @p vgprs VGPRs per work-item
+ * and @p lds_bytes of LDS per WG. Every other field keeps
+ * isa::Kernel's default.
+ */
+isa::Kernel finishKernel(isa::KernelBuilder &b, std::string name,
+                         unsigned num_wgs, unsigned wi_per_wg,
+                         unsigned max_wgs_per_cu, unsigned vgprs,
+                         unsigned lds_bytes);
 
 } // namespace ifp::workloads
 

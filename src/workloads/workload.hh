@@ -37,7 +37,7 @@ struct WorkloadParams
     unsigned iters = 4;          //!< acquisitions / barrier rounds
     unsigned csValuCycles = 60;  //!< per-lane critical-section work
     core::SyncStyle style = core::SyncStyle::Busy;
-    std::int64_t backoffMaxCycles = 16'384;
+    std::int64_t backoffMaxCycles = core::defaultSleepMaxBackoffCycles;
 
     /** Number of locality groups. */
     unsigned

@@ -130,7 +130,7 @@ struct MemPath : mem::MemResponder
     mem::BackingStore store;
     mem::Dram dram{"dram", eq};
     mem::L2Cache l2{"l2", eq, mem::L2Config{}, dram, store, pool};
-    mem::L1Cache l1{"cu0.l1", eq, mem::L1Config{}, l2, pool};
+    mem::L1Cache l1{"cu0.l1", eq, l2, pool};
 
     std::uint64_t completed = 0;
 

@@ -31,10 +31,7 @@ analysis::Report
 lint(const isa::Kernel &k)
 {
     analysis::LaunchContext launch =
-        analysis::makeLaunchContext(k, /*num_cus=*/8,
-                                    /*simds_per_cu=*/2,
-                                    /*wavefronts_per_simd=*/20,
-                                    /*lds_bytes_per_cu=*/64 * 1024);
+        analysis::makeLaunchContext(k, /*num_cus=*/8);
     return analysis::runLint(k, launch);
 }
 
@@ -383,8 +380,7 @@ TEST(Dataflow, WideningSaturatesInsteadOfWrapping)
     isa::Kernel k = test::makeTestKernel(b, 4);
 
     analysis::Cfg cfg(k.code);
-    analysis::LaunchContext launch =
-        analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024);
+    analysis::LaunchContext launch = analysis::makeLaunchContext(k, 8);
     analysis::Dataflow df(cfg, launch);
 
     const std::size_t halt_pc = k.code.size() - 1;
@@ -409,8 +405,7 @@ TEST(Dataflow, PinnedWgMakesWgIdConstant)
     isa::Kernel k = test::makeTestKernel(b, 8);
 
     analysis::Cfg cfg(k.code);
-    analysis::LaunchContext launch =
-        analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024);
+    analysis::LaunchContext launch = analysis::makeLaunchContext(k, 8);
     launch.pinnedWg = 3;
     analysis::Dataflow df(cfg, launch);
     EXPECT_EQ(df.value(0, isa::rWgId),
@@ -443,8 +438,7 @@ pairedFlagsKernel()
 TEST(Interference, PinnedFootprintsSeparatePairs)
 {
     isa::Kernel k = pairedFlagsKernel();
-    analysis::InterferenceAnalysis ia(
-        k, analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024));
+    analysis::InterferenceAnalysis ia(k, analysis::makeLaunchContext(k, 8));
     ASSERT_FALSE(ia.capped());
     ASSERT_EQ(ia.numWgs(), 4u);
     EXPECT_TRUE(ia.footprint(0).bounded());
@@ -457,8 +451,8 @@ TEST(Interference, PinnedFootprintsSeparatePairs)
 TEST(Interference, CommutativityOracleRespectsFootprints)
 {
     isa::Kernel k = pairedFlagsKernel();
-    analysis::CommutativityOracle oracle(
-        k, analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024));
+    analysis::CommutativityOracle oracle(k,
+                                         analysis::makeLaunchContext(k, 8));
 
     auto action = [](int wg) {
         analysis::SchedAction a;
@@ -502,8 +496,7 @@ TEST(Interference, WidenedAddressFallsBackToUnbounded)
     b.st(17, 20);
     b.halt();
     isa::Kernel k = test::makeTestKernel(b, 4);
-    analysis::InterferenceAnalysis ia(
-        k, analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024));
+    analysis::InterferenceAnalysis ia(k, analysis::makeLaunchContext(k, 8));
     ASSERT_FALSE(ia.capped());
     EXPECT_TRUE(ia.footprint(0).reads.unbounded);
     EXPECT_TRUE(ia.footprint(0).writes.unbounded);
@@ -557,8 +550,7 @@ TEST(Interference, WaitForZeroIsNeverACircularWaitCandidate)
 TEST(Interference, SummaryJsonIsDeterministic)
 {
     isa::Kernel k = pairedFlagsKernel();
-    analysis::LaunchContext launch =
-        analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024);
+    analysis::LaunchContext launch = analysis::makeLaunchContext(k, 8);
     std::vector<analysis::InterferenceSummary> summaries;
     summaries.push_back(analysis::summarizeInterference(k, launch));
     std::ostringstream a, c;
@@ -571,8 +563,7 @@ TEST(Interference, SummaryJsonIsDeterministic)
 TEST(Interference, SummaryJsonParsesWithSchema)
 {
     isa::Kernel k = pairedFlagsKernel();
-    analysis::LaunchContext launch =
-        analysis::makeLaunchContext(k, 8, 2, 20, 64 * 1024);
+    analysis::LaunchContext launch = analysis::makeLaunchContext(k, 8);
     std::ostringstream os;
     analysis::writeInterferenceSummariesJson(
         {analysis::summarizeInterference(k, launch)}, os);

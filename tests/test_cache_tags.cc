@@ -14,7 +14,7 @@ namespace {
 
 TEST(CacheTags, LineAlignment)
 {
-    CacheTags tags(1024, 2, 64);
+    CacheTags tags(1024, 2);
     EXPECT_EQ(tags.lineOf(0x1234), 0x1200u | 0x00u);
     EXPECT_EQ(tags.lineOf(0x1240), 0x1240u);
     EXPECT_EQ(tags.lineOf(0x127F), 0x1240u);
@@ -22,7 +22,7 @@ TEST(CacheTags, LineAlignment)
 
 TEST(CacheTags, MissThenHitAfterInsert)
 {
-    CacheTags tags(1024, 2, 64);
+    CacheTags tags(1024, 2);
     EXPECT_EQ(tags.lookup(0x1000), nullptr);
     tags.insert(0x1000);
     CacheTags::Line *line = tags.lookup(0x1010);
@@ -33,7 +33,7 @@ TEST(CacheTags, MissThenHitAfterInsert)
 TEST(CacheTags, LruEviction)
 {
     // 2-way, 64B lines, 2 sets (256 B total).
-    CacheTags tags(256, 2, 64);
+    CacheTags tags(256, 2);
     // Three lines mapping to set 0 (stride = sets * line = 128).
     tags.insert(0x0000);
     tags.insert(0x0080);
@@ -48,7 +48,7 @@ TEST(CacheTags, LruEviction)
 
 TEST(CacheTags, PinnedLinesAreNotVictims)
 {
-    CacheTags tags(256, 2, 64);
+    CacheTags tags(256, 2);
     tags.insert(0x0000);
     tags.insert(0x0080);
     tags.lookup(0x0000)->pinned = true;
@@ -65,7 +65,7 @@ TEST(CacheTags, PinnedLinesAreNotVictims)
 
 TEST(CacheTags, DirtyVictimReported)
 {
-    CacheTags tags(256, 1, 64);  // direct-mapped, 4 sets
+    CacheTags tags(256, 1);  // direct-mapped, 4 sets
     tags.insert(0x0000);
     tags.lookup(0x0000)->dirty = true;
     CacheTags::Victim victim = tags.insert(0x0100);  // same set
@@ -75,7 +75,7 @@ TEST(CacheTags, DirtyVictimReported)
 
 TEST(CacheTags, InvalidateAllAndOne)
 {
-    CacheTags tags(1024, 2, 64);
+    CacheTags tags(1024, 2);
     tags.insert(0x0000);
     tags.insert(0x1000);
     EXPECT_EQ(tags.numValid(), 2u);
@@ -88,15 +88,14 @@ TEST(CacheTags, InvalidateAllAndOne)
 
 TEST(CacheTags, GeometryAccessors)
 {
-    CacheTags tags(512 * 1024, 16, 64);
+    CacheTags tags(512 * 1024, 16);
     EXPECT_EQ(tags.sets(), 512u);
     EXPECT_EQ(tags.ways(), 16u);
-    EXPECT_EQ(tags.lineSize(), 64u);
 }
 
 TEST(CacheTags, FillsWholeSetBeforeEvicting)
 {
-    CacheTags tags(512, 4, 64);  // 2 sets, 4 ways
+    CacheTags tags(512, 4);  // 2 sets, 4 ways
     for (int i = 0; i < 4; ++i) {
         CacheTags::Victim victim = tags.insert(0x0000 + i * 0x80);
         EXPECT_FALSE(victim.evicted);
@@ -107,7 +106,7 @@ TEST(CacheTags, FillsWholeSetBeforeEvicting)
 
 TEST(CacheTags, FlashInvalidateMissesEveryLinePinnedIncluded)
 {
-    CacheTags tags(1024, 2, 64);  // 8 sets
+    CacheTags tags(1024, 2);  // 8 sets
     for (Addr a = 0; a < 16 * 64; a += 64)
         tags.insert(a);
     ASSERT_EQ(tags.numValid(), 16u);
@@ -122,7 +121,7 @@ TEST(CacheTags, FlashInvalidateMissesEveryLinePinnedIncluded)
 
 TEST(CacheTags, ReinsertAfterFlashEvictsNothing)
 {
-    CacheTags tags(256, 2, 64);  // 2 sets x 2 ways
+    CacheTags tags(256, 2);  // 2 sets x 2 ways
     tags.insert(0x0000);
     tags.insert(0x0080);
     tags.lookup(0x0000)->dirty = true;
@@ -147,7 +146,7 @@ TEST(CacheTags, ReinsertAfterFlashEvictsNothing)
 
 TEST(CacheTags, InvalidateOneKeepsTheRestOfItsSet)
 {
-    CacheTags tags(512, 4, 64);  // 2 sets x 4 ways
+    CacheTags tags(512, 4);  // 2 sets x 4 ways
     const Addr set0[] = {0x0000, 0x0080, 0x0100, 0x0180};
     for (Addr a : set0)
         tags.insert(a);
@@ -171,7 +170,7 @@ TEST(CacheTags, EpochWrapRevivesNoLine)
     constexpr long flashes =
         3L * (long(std::numeric_limits<CacheTags::Epoch>::max()) + 1);
 
-    CacheTags tags(256, 2, 64);  // 2 sets x 2 ways
+    CacheTags tags(256, 2);  // 2 sets x 2 ways
     // Validated once, at the first epoch, and never touched again: a
     // wrap that did not reset the words would bring it back.
     tags.insert(0x0000);

@@ -84,7 +84,7 @@ TEST(ConditionCache, AddrOnlyMode)
 TEST(ConditionCache, SetConflictReturnsNull)
 {
     // 1 set x 2 ways: the third distinct condition cannot be held.
-    ConditionCache cc(1, 2, 64);
+    ConditionCache cc(1, 2);
     EXPECT_NE(cc.insert(0x1000, 1, false, 0), nullptr);
     EXPECT_NE(cc.insert(0x2000, 2, false, 0), nullptr);
     EXPECT_EQ(cc.insert(0x3000, 3, false, 0), nullptr);
@@ -93,7 +93,7 @@ TEST(ConditionCache, SetConflictReturnsNull)
 
 TEST(ConditionCache, RemoveFreesTheWay)
 {
-    ConditionCache cc(1, 1, 64);
+    ConditionCache cc(1, 1);
     ConditionCache::Entry *e = cc.insert(0x1000, 1, false, 0);
     ASSERT_NE(e, nullptr);
     cc.remove(e);
@@ -128,7 +128,7 @@ TEST(ConditionCache, TracksHighWaterMark)
 
 TEST(ConditionCache, PaperGeometryAndBudget)
 {
-    ConditionCache cc(256, 4, 64);
+    ConditionCache cc(256, 4);
     EXPECT_EQ(cc.capacity(), 1024u);
     // Section V.C: condition cache + waiting-WG list = 26112 bits
     // (3.18 KB after rounding).
@@ -137,7 +137,7 @@ TEST(ConditionCache, PaperGeometryAndBudget)
 
 TEST(ConditionCache, HoldsManyDistinctConditions)
 {
-    ConditionCache cc(256, 4, 64);
+    ConditionCache cc(256, 4);
     unsigned inserted = 0;
     for (unsigned i = 0; i < 600; ++i) {
         if (cc.insert(0x10000 + i * 64, static_cast<int>(i), false, 0))

@@ -35,7 +35,7 @@ struct L1Fixture : public ::testing::Test, public MemResponder
 {
     L1Fixture()
         : stub(eq, 100 * sim::gpuClockPeriod),
-          l1("l1", eq, L1Config{}, stub, pool)
+          l1("l1", eq, stub, pool)
     {}
 
     void

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/fault_plan.hh"
 #include "core/liveness.hh"
@@ -154,22 +155,52 @@ TEST(ScenarioValidation, RejectsOutOfRangePlanChurnTarget)
     EXPECT_NO_THROW(core::GpuSystem ok(cfg));
 }
 
-TEST(ScenarioValidation, RejectsAGeometryTheReadyMaskCannotHold)
+TEST(ScenarioValidation, RejectsAKernelNoCuCanHost)
 {
-    // The CU keeps one 64-bit ready mask per SIMD.
-    core::RunConfig cfg = test::testRunConfig();
-    for (unsigned wfs : {0u, 65u}) {
-        cfg.gpu.wavefrontsPerSimd = wfs;
-        EXPECT_NE(constructionError(cfg).find("wavefrontsPerSimd"),
-                  std::string::npos) << wfs;
+    // No WG of such a kernel ever dispatches: the run would end in a
+    // silent DEADLOCK with no instruction issued instead of an error.
+    auto kernel = [](unsigned wavefronts, unsigned lds_bytes,
+                     unsigned max_wgs_per_cu) {
+        isa::KernelBuilder b;
+        b.halt();
+        isa::Kernel k = test::makeTestKernel(
+            b, /*num_wgs=*/2, wavefronts * isa::wavefrontSize);
+        k.ldsBytes = lds_bytes;
+        k.maxWgsPerCu = max_wgs_per_cu;
+        return k;
+    };
+    const unsigned slots = gpu::simdsPerCu * gpu::wavefrontsPerSimd;
+    const std::pair<isa::Kernel, std::string> unhostable[] = {
+        {kernel(slots + 1, 1024, 8),
+         std::to_string(slots + 1) + " wavefronts"},
+        {kernel(1, gpu::ldsBytesPerCu + 8, 8),
+         std::to_string(gpu::ldsBytesPerCu + 8) + " LDS bytes"},
+        {kernel(1, 1024, 0), "maxWgsPerCu 0"},
+    };
+    for (const auto &[k, limit] : unhostable) {
+        core::GpuSystem sys(test::testRunConfig());
+        for (bool at : {false, true}) {
+            std::string error;
+            try {
+                if (at)
+                    sys.enqueueKernelAt(k, {}, sys.eventq().curTick());
+                else
+                    sys.enqueueKernel(k);
+            } catch (const std::invalid_argument &e) {
+                error = e.what();
+            }
+            EXPECT_NE(error.find("fits no CU"), std::string::npos)
+                << limit << ": '" << error << "'";
+            EXPECT_NE(error.find(limit), std::string::npos)
+                << limit << ": '" << error << "'";
+        }
     }
-    cfg.gpu.wavefrontsPerSimd = 64;
-    EXPECT_EQ(constructionError(cfg), "");
 
-    cfg.gpu.wavefrontsPerSimd = 20;
-    cfg.gpu.simdsPerCu = 0;
-    EXPECT_NE(constructionError(cfg).find("simdsPerCu"),
-              std::string::npos);
+    // The widest WG a CU holds still runs.
+    core::GpuSystem sys(test::testRunConfig());
+    core::RunResult result = sys.run(kernel(slots, 1024, 8));
+    EXPECT_TRUE(result.completed) << result.verdictString();
+    EXPECT_GT(result.instructions, 0u);
 }
 
 TEST(ScenarioValidation, RejectsAZeroTimeoutInterval)
@@ -625,13 +656,11 @@ TEST(ChaosCampaign, ServingMixRunsPlansThroughServe)
 
 TEST(LivenessOracleBounds, AutoLostWakeupBoundTracksWindowSize)
 {
-    // lostWakeupBoundCycles = 0 means "one deadlock window": a
-    // condition that held across exactly one full window is flagged,
-    // at any window size.
+    // The bound is one deadlock window: a condition that held across
+    // exactly one full window is flagged, at any window size.
     for (sim::Cycles window : {50'000ULL, 500'000ULL, 2'000'000ULL}) {
-        core::LivenessConfig cfg;
-        cfg.lostWakeupBoundCycles = 0;  // auto
-        core::LivenessOracle oracle(cfg, /*clock_period=*/1, window);
+        core::LivenessOracle oracle(window);
+        const sim::Tick window_ticks = window * sim::gpuClockPeriod;
 
         core::WaiterProbe probe;
         probe.wgId = 3;
@@ -639,37 +668,17 @@ TEST(LivenessOracleBounds, AutoLostWakeupBoundTracksWindowSize)
         probe.expected = 1;
         probe.conditionHolds = true;
 
-        oracle.sample(window, {probe}, 0);
+        oracle.sample(window_ticks, {probe}, 0);
         EXPECT_TRUE(oracle.lostWakeups().empty())
             << "window " << window
             << ": flagged before the bound elapsed";
-        oracle.sample(2 * window, {probe}, 0);
+        oracle.sample(2 * window_ticks, {probe}, 0);
         ASSERT_EQ(oracle.lostWakeups().size(), 1u)
             << "window " << window;
         EXPECT_EQ(oracle.lostWakeups()[0].heldCycles, window);
         EXPECT_EQ(oracle.finalizeStall(false),
                   Verdict::LostWakeup);
     }
-}
-
-TEST(LivenessOracleBounds, ExplicitBoundOverridesWindow)
-{
-    const sim::Cycles window = 100'000;
-    core::LivenessConfig cfg;
-    cfg.lostWakeupBoundCycles = 3 * window;
-    core::LivenessOracle oracle(cfg, /*clock_period=*/1, window);
-
-    core::WaiterProbe probe;
-    probe.wgId = 0;
-    probe.conditionHolds = true;
-    oracle.sample(1 * window, {probe}, 0);
-    oracle.sample(2 * window, {probe}, 0);
-    oracle.sample(3 * window, {probe}, 0);
-    EXPECT_TRUE(oracle.lostWakeups().empty());
-    // Held for 3 windows (since the first sample) only at t = 4w.
-    oracle.sample(4 * window, {probe}, 0);
-    ASSERT_EQ(oracle.lostWakeups().size(), 1u);
-    EXPECT_EQ(oracle.lostWakeups()[0].heldCycles, 3 * window);
 }
 
 } // anonymous namespace

@@ -208,9 +208,8 @@ analysis::Report
 lintValueWait(SyncStyle style, bool counter)
 {
     isa::Kernel k = valueWaitKernel(style, counter);
-    analysis::LaunchContext launch = analysis::makeLaunchContext(
-        k, /*num_cus=*/8, /*simds_per_cu=*/2,
-        /*wavefronts_per_simd=*/20, /*lds_bytes_per_cu=*/64 * 1024);
+    analysis::LaunchContext launch =
+        analysis::makeLaunchContext(k, /*num_cus=*/8);
     return analysis::runLint(k, launch);
 }
 

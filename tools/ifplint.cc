@@ -134,7 +134,6 @@ main(int argc, char **argv)
         core::SyncStyle::Busy, core::SyncStyle::SleepBackoff,
         core::SyncStyle::WaitInstr, core::SyncStyle::WaitAtomic};
 
-    const gpu::GpuConfig machine;
     std::vector<analysis::Report> reports;
     std::vector<analysis::InterferenceSummary> summaries;
     for (const auto &w : suite) {
@@ -143,16 +142,14 @@ main(int argc, char **argv)
             // initialize their buffers while emitting code, and the
             // buffer addresses feed the abstract interpretation.
             core::RunConfig cfg;
-            cfg.gpu = machine;
             core::GpuSystem scratch(cfg);
             workloads::WorkloadParams params = opt.params;
             params.style = style;
             isa::Kernel kernel = w->build(scratch, params);
             kernel.name += std::string("/") + styleName(style);
 
-            analysis::LaunchContext launch = analysis::makeLaunchContext(
-                kernel, machine.numCus, machine.simdsPerCu,
-                machine.wavefrontsPerSimd, gpu::ldsBytesPerCu);
+            analysis::LaunchContext launch =
+                analysis::makeLaunchContext(kernel, cfg.gpu.numCus);
             if (opt.interference) {
                 summaries.push_back(
                     analysis::summarizeInterference(kernel, launch));
