@@ -51,6 +51,9 @@ RunResult::verdictString() const
 GpuSystem::GpuSystem(const RunConfig &run_cfg)
     : cfg(run_cfg)
 {
+    if (cfg.gpu.numCus == 0)
+        throw std::invalid_argument(
+            "GpuConfig::numCus is 0; it must be positive");
     if (cfg.policy.timeoutIntervalCycles == 0)
         throw std::invalid_argument(
             "PolicyConfig::timeoutIntervalCycles is 0; it must be "
@@ -107,6 +110,8 @@ GpuSystem::GpuSystem(const RunConfig &run_cfg)
     std::vector<gpu::ComputeUnit *> cu_ptrs;
     for (auto &cu : cus)
         cu_ptrs.push_back(cu.get());
+    for (auto &cu : cus)
+        cu->setPeers(cu_ptrs);
     dispatch->setCus(std::move(cu_ptrs));
     cp->setScheduler(dispatch.get());
     cp->admissionScheduler().setDispatcher(dispatch.get());

@@ -158,8 +158,9 @@ class GpuSystem
   public:
     /**
      * Composes the machine. Throws std::invalid_argument, naming the
-     * field, when the fault plan references a CU the machine does not
-     * have (a churn target out of range), the Timeout interval is 0,
+     * field, when the machine has no CU, the fault plan references a
+     * CU the machine does not have (a churn target out of range), the
+     * Timeout interval is 0,
      * the Sleep backoff cap is outside 1..INT64_MAX (the cap the
      * kernel loads into a signed register), or the SyncMon set count
      * is not a power of two — the construction-time errors a caller

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -11,6 +12,69 @@ namespace {
 
 /** Latency of an LDS load or store, in GPU cycles. */
 constexpr sim::Cycles ldsLatency = 4;
+
+/** A countdown whose counter never reaches 0. */
+constexpr sim::Cycles never = std::numeric_limits<sim::Cycles>::max();
+
+/** The CountdownRole of @p wf's next instruction. */
+isa::CountdownRole
+roleOf(const Wavefront &wf)
+{
+    const std::span<const isa::CountdownRole> roles = wf.wg->countdowns;
+    return wf.pc < roles.size() ? roles[wf.pc] : isa::CountdownRole::None;
+}
+
+/**
+ * Countdown instructions @p wf issues before it leaves its loop (the
+ * bnz that falls through included); never when the counter cannot
+ * reach 0, and 0 when @p wf is not in a countdown.
+ */
+sim::Cycles
+countdownLength(const Wavefront &wf)
+{
+    const isa::CountdownRole role = roleOf(wf);
+    if (role == isa::CountdownRole::None)
+        return 0;
+    const isa::Instr &in = wf.wg->kernel->code[wf.pc];
+    const std::int64_t left = wf.reg(in.src0);
+    // From the subi, each remaining iteration is a subi and a bnz;
+    // from the bnz, the counter has already dropped.
+    if (role == isa::CountdownRole::Branch && left == 0)
+        return 1;
+    if (left <= 0)
+        return never;
+    const sim::Cycles pairs = 2 * static_cast<sim::Cycles>(left);
+    return role == isa::CountdownRole::Sub ? pairs : pairs + 1;
+}
+
+/** Apply @p m <= countdownLength(wf) countdown issues to @p wf. */
+void
+runCountdown(Wavefront &wf, sim::Cycles m)
+{
+    if (m == 0)
+        return;
+    wf.instructionsExecuted += m;
+    const bool at_branch = roleOf(wf) == isa::CountdownRole::Branch;
+    const std::size_t sub = at_branch ? wf.pc - 1 : wf.pc;
+    const isa::Reg counter = wf.wg->kernel->code[sub].dst;
+    std::int64_t left = wf.reg(counter);
+    if (at_branch) {
+        --m;
+        if (left == 0) {
+            wf.pc = sub + 2;  // falls through
+            return;
+        }
+    }
+    // m issues from the subi: each pair takes one off the counter.
+    left -= static_cast<std::int64_t>(m / 2);
+    if (m % 2 == 1) {
+        --left;
+        wf.pc = sub + 1;
+    } else {
+        wf.pc = left == 0 ? sub + 2 : sub;
+    }
+    wf.setReg(counter, left);
+}
 
 } // anonymous namespace
 
@@ -277,8 +341,11 @@ ComputeUnit::oraclePick(unsigned s, unsigned &idx) const
 void
 ComputeUnit::tick()
 {
-    bool issued = false;
+    if (issuedCountdown && !oracle && coast())
+        return;
 
+    bool issued = false;
+    issuedCountdown = false;
     for (unsigned s = 0; s < simdsPerCu; ++s) {
         unsigned idx = 0;
         const bool found = oracle ? oraclePick(s, idx)
@@ -287,13 +354,105 @@ ComputeUnit::tick()
             continue;
         auto &simd = simdWfs[s];
         rrIndex[s] = idx + 1 < simd.size() ? idx + 1 : 0;
-        executeInstr(*simd[idx]);
+        Wavefront &wf = *simd[idx];
+        if (roleOf(wf) != isa::CountdownRole::None)
+            issuedCountdown = true;
+        executeInstr(wf);
         issued = true;
     }
 
     if (issued)
         ++activeCycles;
     notifyReady();
+}
+
+sim::Cycles
+ComputeUnit::countdownCycles() const
+{
+    sim::Cycles cycles = never;
+    bool any = false;
+    for (unsigned s = 0; s < simdsPerCu; ++s) {
+        unsigned cands[wavefrontsPerSimd];
+        const unsigned k = issueCandidates(s, cands, wavefrontsPerSimd);
+        for (unsigned j = 0; j < k; ++j) {
+            // Round-robin gives candidate j cycles j, j + k, j + 2k...
+            // so it leaves its loop at cycle j + length * k.
+            const sim::Cycles length = countdownLength(*simdWfs[s][cands[j]]);
+            if (length == 0)
+                return 0;
+            if (length <= (never - j) / k)
+                cycles = std::min(cycles, j + length * k);
+        }
+        any = any || k > 0;
+    }
+    return any ? cycles : 0;
+}
+
+void
+ComputeUnit::retireCountdowns(sim::Cycles n)
+{
+    for (unsigned s = 0; s < simdsPerCu; ++s) {
+        unsigned cands[wavefrontsPerSimd];
+        const unsigned k = issueCandidates(s, cands, wavefrontsPerSimd);
+        if (k == 0)
+            continue;
+        for (unsigned j = 0; j < k; ++j)
+            runCountdown(*simdWfs[s][cands[j]], n / k + (j < n % k));
+        const unsigned last = cands[(n - 1) % k];
+        rrIndex[s] = last + 1 < simdWfs[s].size() ? last + 1 : 0;
+        numInstructions += static_cast<double>(n);
+    }
+    activeCycles += static_cast<double>(n);
+    issuedCountdown = true;
+}
+
+bool
+ComputeUnit::coast()
+{
+    // Nothing reaches a counting-down SIMD before the next event: its
+    // instructions touch only registers and pcs and schedule nothing,
+    // and its CU's tick re-arms one cycle on. A window of n >= 2 also
+    // puts every armed peer's tick at now (one armed for the next
+    // cycle would be the next event).
+    sim::Cycles n = countdownCycles();
+    if (n < 2)
+        return false;
+    sim::EventQueue &eq = eventq();
+    const sim::Tick now = curTick();
+    const sim::Cycles cycle = now / sim::gpuClockPeriod;
+    // Stop at the first edge not before the next event, and before
+    // the limit's last edge, which ticks as usual so that simulate()
+    // returns at the same curTick().
+    const sim::Tick next = eq.nextAfterNow();
+    const sim::Cycles next_edge = next / sim::gpuClockPeriod +
+                                  (next % sim::gpuClockPeriod != 0);
+    n = std::min({n, next_edge - cycle,
+                  eq.limit() / sim::gpuClockPeriod - cycle});
+    if (n < 2)
+        return false;
+    std::size_t armed = 0;
+    for (const ComputeUnit *peer : peers) {
+        if (peer == this || !peer->tickEvent.scheduled())
+            continue;
+        n = std::min(n, peer->countdownCycles());
+        if (n < 2)
+            return false;
+        ++armed;
+    }
+    if (eq.dueNow() != armed)
+        return false;
+
+    for (ComputeUnit *peer : peers) {
+        if (peer == this || peer->tickEvent.scheduled())
+            peer->retireCountdowns(n);
+    }
+    // Per cycle, this CU ticks first and the peers follow in queue
+    // order, so their re-arms at the window's last cycle land in that
+    // order, after every event already due at the window's end.
+    const sim::Tick until = now + n * sim::gpuClockPeriod;
+    eq.schedule(&tickEvent, until);
+    eq.moveDueNow(until);
+    return true;
 }
 
 void

@@ -61,6 +61,11 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     void setTraceSink(sim::TraceSink *sink) { trace = sink; }
     /** Schedule-choice oracle for SIMD wavefront arbitration. */
     void setSchedOracle(sim::SchedOracle *o) { oracle = o; }
+    /**
+     * Every CU of the machine, this one included: a coast retires
+     * the countdowns of every armed CU at once (see tick()).
+     */
+    void setPeers(std::vector<ComputeUnit *> cus) { peers = std::move(cus); }
     /// @}
 
     /// @name Residency
@@ -121,7 +126,31 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
         ComputeUnit &cu;
     };
 
+    /**
+     * Issue one instruction per SIMD. After a tick that issued a
+     * countdown instruction (isa::CountdownRole), with no oracle
+     * installed, first try to coast().
+     */
     void tick();
+    /**
+     * The countdown coast. When every issue candidate of this CU and
+     * of every armed peer sits in a countdown and the only other
+     * events due now are those peers' ticks, round-robin issue until
+     * the next pending event (or a countdown's end, or the simulate()
+     * limit) touches nothing but counters and pcs: retire those n
+     * cycles in closed form, re-arm n cycles on and move the peers'
+     * ticks there. Exactly what n per-cycle ticks would do.
+     * @return false, changing nothing, when it does not apply.
+     */
+    bool coast();
+    /**
+     * Cycles from now that round-robin issue spends entirely in
+     * countdowns: 0 unless every candidate sits in one (and there is
+     * a candidate).
+     */
+    sim::Cycles countdownCycles() const;
+    /** Retire @p n cycles of countdown issue, n <= countdownCycles(). */
+    void retireCountdowns(sim::Cycles n);
     bool anyIssuable() const;
     /**
      * Write up to @p max indices of SIMD @p s's issuable wavefronts
@@ -163,6 +192,9 @@ class ComputeUnit : public sim::Clocked, public mem::MemResponder
     mem::SyncObserver *observer = nullptr;
     sim::TraceSink *trace = nullptr;
     sim::SchedOracle *oracle = nullptr;
+    std::vector<ComputeUnit *> peers;
+    /** The last tick issued a countdown instruction. */
+    bool issuedCountdown = false;
 
     std::array<std::vector<Wavefront *>, simdsPerCu> simdWfs;
     /** Bit i of readyMask[s] set iff simdWfs[s][i] is Ready. */

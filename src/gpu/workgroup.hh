@@ -14,6 +14,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpu/wavefront.hh"
@@ -64,6 +65,11 @@ class WorkGroup
     const isa::Kernel *kernel;
     int ctxId = 0;               //!< owning DispatchContext
     int cuId = -1;               //!< resident CU, -1 otherwise
+    /**
+     * The CountdownRole of each pc of kernel: its DispatchContext's
+     * table, empty for a WG made outside a dispatcher.
+     */
+    std::span<const isa::CountdownRole> countdowns;
     /// @}
 
     /**

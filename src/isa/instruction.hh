@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mem/atomic_op.hh"
 #include "sim/types.hh"
@@ -94,6 +95,21 @@ bool accessesGlobalMemory(const Instr &instr);
 
 /** True for branch instructions. */
 bool isBranch(const Instr &instr);
+
+/**
+ * Role of an instruction in a countdown, the software delay loop
+ * `L: subi r, r, 1; bnz r, L` (the SPMBO backoff and the barriers'
+ * startup skew).
+ */
+enum class CountdownRole : std::uint8_t
+{
+    None,
+    Sub,     //!< the subi, which the loop's bnz targets
+    Branch,  //!< the bnz
+};
+
+/** The CountdownRole of each instruction of @p code, by pc. */
+std::vector<CountdownRole> countdownRoles(const std::vector<Instr> &code);
 
 /** Render one instruction as assembly-like text. */
 std::string disassemble(const Instr &instr);

@@ -90,6 +90,13 @@ EventQueue::schedule(Event *event, Tick when)
                static_cast<unsigned long>(_curTick));
 
     event->_scheduled = true;
+    insert(event, when);
+    ++liveEvents;
+}
+
+void
+EventQueue::insert(Event *event, Tick when)
+{
     event->_when = when;
     event->_sequence = nextSequence++;
     if (when < wheelEnd()) {
@@ -98,7 +105,6 @@ EventQueue::schedule(Event *event, Tick when)
         far.push_back(event);
         std::push_heap(far.begin(), far.end(), RunsLater{});
     }
-    ++liveEvents;
 }
 
 void
@@ -157,6 +163,69 @@ EventQueue::runNext(Tick limit)
     return true;
 }
 
+std::size_t
+EventQueue::dueNow() const
+{
+    // Every event due now heads curTick()'s bucket.
+    std::size_t n = 0;
+    for (const Event *event = buckets[bucketOf(_curTick)].head;
+         event && event->_when == _curTick; event = event->_next) {
+        ++n;
+    }
+    return n;
+}
+
+Tick
+EventQueue::nextAfterNow() const
+{
+    const unsigned start = bucketOf(_curTick);
+    for (const Event *event = buckets[start].head; event;
+         event = event->_next) {
+        if (event->_when > _curTick)
+            return event->_when;
+    }
+    // The buckets after start's, wrapping, run in time order, and any
+    // of them is due before every far event.
+    const unsigned from = (start + 1) % numBuckets;
+    unsigned word = from / 64;
+    std::uint64_t bits = busy[word] & (~std::uint64_t{0} << (from % 64));
+    for (std::size_t n = 0; n <= busy.size(); ++n) {
+        if (bits != 0) {
+            const unsigned b = word * 64 + std::countr_zero(bits);
+            if (b != start)
+                return buckets[b].head->_when;
+            break;  // round to start's bucket: no other is busy
+        }
+        word = (word + 1) % busy.size();
+        bits = busy[word];
+    }
+    return far.empty() ? maxTick : far.front()->_when;
+}
+
+void
+EventQueue::moveDueNow(Tick when)
+{
+    ifp_assert(when > _curTick, "moving events due now to the past");
+    const unsigned b = bucketOf(_curTick);
+    Bucket &bucket = buckets[b];
+    Event *moved = bucket.head;
+    Event *rest = moved;
+    while (rest && rest->_when == _curTick)
+        rest = rest->_next;
+    if (rest == moved)
+        return;
+    bucket.head = rest;
+    if (rest == nullptr) {
+        bucket.tail = nullptr;
+        busy[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    }
+    while (moved != rest) {
+        Event *next = moved->_next;
+        insert(moved, when);
+        moved = next;
+    }
+}
+
 bool
 EventQueue::step()
 {
@@ -166,8 +235,10 @@ EventQueue::step()
 Tick
 EventQueue::simulate(Tick limit)
 {
+    runLimit = limit;
     while (runNext(limit)) {
     }
+    runLimit = maxTick;
     return _curTick;
 }
 

@@ -153,6 +153,27 @@ class EventQueue
     /** Execute exactly one event, if any. @return true if one ran. */
     bool step();
 
+    /// @name Bulk time advance (ComputeUnit's countdown coast)
+    /// @{
+
+    /** Number of pending events due at curTick(). */
+    std::size_t dueNow() const;
+
+    /** First tick after curTick() with an event due; maxTick if none. */
+    Tick nextAfterNow() const;
+
+    /** The running simulate()'s limit; maxTick under step() or idle. */
+    Tick limit() const { return runLimit; }
+
+    /**
+     * Move every event due at curTick() to @p when (> curTick()), in
+     * their order, with fresh sequence numbers: they run after every
+     * event already pending at @p when, as re-arms made at @p when's
+     * previous clock edge would.
+     */
+    void moveDueNow(Tick when);
+    /// @}
+
     /** Total number of events executed so far. */
     std::uint64_t numExecuted() const { return executed; }
 
@@ -202,6 +223,8 @@ class EventQueue
     void park(Event *event);
     /** Put @p event, the newest in its bucket, into the bucket. */
     void link(Event *event);
+    /** Give @p event its tick and sequence; put it on the wheel or far. */
+    void insert(Event *event, Tick when);
     /** Move the far events due before wheelEnd() to their buckets. */
     void migrate();
 
@@ -226,6 +249,7 @@ class EventQueue
     /** Fired one-shots ready for the next schedule(Tick, fn). */
     std::vector<LambdaEvent *> freeList;
     Tick _curTick = 0;
+    Tick runLimit = maxTick;
     std::uint64_t nextSequence = 0;
     std::uint64_t executed = 0;
     std::size_t liveEvents = 0;

@@ -2,17 +2,9 @@
 
 #include <bit>
 
-#include "mem/cache_tags.hh"
 #include "sim/logging.hh"
 
 namespace ifp::syncmon {
-
-namespace {
-
-/** Bits of a cacheline offset, which a condition key drops. */
-constexpr unsigned log2Line = std::bit_width(mem::cacheLineBytes) - 1;
-
-} // anonymous namespace
 
 WaitingWgList::WaitingWgList(unsigned capacity)
     : nodes(capacity)
@@ -97,8 +89,8 @@ ConditionCache::setOf(mem::Addr addr, mem::MemValue value,
                       bool addr_only) const
 {
     std::uint64_t key =
-        addr_only ? (addr >> log2Line)
-                  : conditionKey(addr, value, log2Entries, log2Line);
+        addr_only ? (addr >> lineOffsetBits)
+                  : conditionKey(addr, value, log2Entries);
     return static_cast<std::size_t>(hasher(key) % sets);
 }
 

@@ -11,7 +11,10 @@
 #ifndef IFP_SYNCMON_UNIVERSAL_HASH_HH
 #define IFP_SYNCMON_UNIVERSAL_HASH_HH
 
+#include <bit>
 #include <cstdint>
+
+#include "mem/cache_tags.hh"
 
 namespace ifp::syncmon {
 
@@ -52,16 +55,19 @@ class UniversalHash
     std::uint64_t addend;
 };
 
+/** Bits of a cacheline offset, which a condition key drops. */
+constexpr unsigned lineOffsetBits =
+    std::bit_width(mem::cacheLineBytes) - 1;
+
 /**
  * The paper's condition key: the address is shifted left by the log of
  * the number of cache entries (after dropping the cacheline offset)
  * and bitwise ORed with the waiting value, then universally hashed.
  */
 inline std::uint64_t
-conditionKey(std::uint64_t addr, std::int64_t value,
-             unsigned log2_entries, unsigned log2_line)
+conditionKey(std::uint64_t addr, std::int64_t value, unsigned log2_entries)
 {
-    std::uint64_t a = (addr >> log2_line) << log2_entries;
+    std::uint64_t a = (addr >> lineOffsetBits) << log2_entries;
     return a | (static_cast<std::uint64_t>(value) &
                 ((1ULL << log2_entries) - 1));
 }

@@ -399,5 +399,54 @@ TEST(AllocGate, WarmCuIssueUnderAnOracleAllocatesNothing)
     EXPECT_GT(oracle.calls, warm_calls + 1000);
 }
 
+TEST(AllocGate, WarmCountdownCoastAllocatesNothing)
+{
+    // The stock schedule's countdown coast: each window's decision,
+    // closed-form retirement and move of the peers' ticks reuse what
+    // the queue and the CUs already hold. Two CUs, each counting down
+    // on both SIMDs between L1-hit loads.
+    core::RunConfig cfg;
+    cfg.gpu.numCus = 2;
+    core::GpuSystem sys(cfg);
+    const mem::Addr flag = sys.allocate(64);
+
+    isa::KernelBuilder b;
+    b.movi(17, 1'000'000);
+    isa::Label loop = b.here();
+    b.ld(18, isa::rArg0);
+    b.movi(16, 300);
+    isa::Label delay = b.here();
+    b.subi(16, 16, 1);
+    b.bnz(16, delay);
+    b.subi(17, 17, 1);
+    b.bnz(17, loop);
+    b.halt();
+    isa::Kernel kernel;
+    kernel.name = "delay";
+    kernel.code = b.build();
+    kernel.numWgs = 4;
+    kernel.wiPerWg = 128;
+    kernel.ldsBytes = 1024;
+    kernel.maxWgsPerCu = 8;
+    kernel.args = {static_cast<mem::MemValue>(flag)};
+    sys.enqueueKernel(kernel);
+
+    sim::EventQueue &eq = sys.eventq();
+    for (int i = 0; i < 5'000; ++i)
+        ASSERT_TRUE(eq.step());
+    const sim::Tick warm_tick = eq.curTick();
+
+    const std::uint64_t before = allocCount();
+    for (int i = 0; i < 20'000; ++i)
+        eq.step();
+    const std::uint64_t after = allocCount();
+
+    EXPECT_EQ(after - before, 0u)
+        << "the warmed countdown coast touched the heap";
+    // Per cycle, 20,000 steps would cover at most 20,000 cycles of
+    // two ticking CUs; coasting covers many more.
+    EXPECT_GT(eq.curTick() - warm_tick, 20'000 * sim::gpuClockPeriod);
+}
+
 } // anonymous namespace
 } // namespace ifp

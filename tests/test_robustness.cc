@@ -203,6 +203,18 @@ TEST(ScenarioValidation, RejectsAKernelNoCuCanHost)
     EXPECT_GT(result.instructions, 0u);
 }
 
+TEST(ScenarioValidation, RejectsAMachineWithNoCu)
+{
+    // With no CU every kernel queues forever: the run would end in a
+    // silent DEADLOCK with 0 instructions instead of an error.
+    core::RunConfig cfg = test::testRunConfig();
+    cfg.gpu.numCus = 0;
+    EXPECT_NE(constructionError(cfg).find("GpuConfig::numCus"),
+              std::string::npos);
+    cfg.gpu.numCus = 1;
+    EXPECT_EQ(constructionError(cfg), "");
+}
+
 TEST(ScenarioValidation, RejectsAZeroTimeoutInterval)
 {
     // A zero interval never rescues a waiter: the run would end in a

@@ -55,7 +55,7 @@ TEST(UniversalHash, ConditionKeyMixesAddressAndValue)
     // common case (FAM: many values on one address).
     std::set<std::uint64_t> keys;
     for (int v = 0; v < 256; ++v)
-        keys.insert(syncmon::conditionKey(0x1000, v, 10, 6));
+        keys.insert(syncmon::conditionKey(0x1000, v, 10));
     EXPECT_EQ(keys.size(), 256u);
 }
 
