@@ -20,8 +20,7 @@ constexpr sim::Cycles never = std::numeric_limits<sim::Cycles>::max();
 isa::CountdownRole
 roleOf(const Wavefront &wf)
 {
-    const std::span<const isa::CountdownRole> roles = wf.wg->countdowns;
-    return wf.pc < roles.size() ? roles[wf.pc] : isa::CountdownRole::None;
+    return isa::countdownRole(wf.wg->kernel->code, wf.pc);
 }
 
 /**
@@ -341,7 +340,7 @@ ComputeUnit::oraclePick(unsigned s, unsigned &idx) const
 void
 ComputeUnit::tick()
 {
-    if (issuedCountdown && !oracle && coast())
+    if (issuedCountdown && coast())
         return;
 
     bool issued = false;
@@ -355,7 +354,7 @@ ComputeUnit::tick()
         auto &simd = simdWfs[s];
         rrIndex[s] = idx + 1 < simd.size() ? idx + 1 : 0;
         Wavefront &wf = *simd[idx];
-        if (roleOf(wf) != isa::CountdownRole::None)
+        if (!oracle && roleOf(wf) != isa::CountdownRole::None)
             issuedCountdown = true;
         executeInstr(wf);
         issued = true;

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "isa/kernel.hh"
 #include "sim/types.hh"
@@ -66,9 +65,8 @@ class DispatchContext
   public:
     DispatchContext(int ctx_id, isa::Kernel k, LaunchOptions launch_opts,
                     sim::Tick enqueue_tick)
-        : id(ctx_id), kernel(std::move(k)),
-          countdowns(isa::countdownRoles(kernel.code)),
-          opts(std::move(launch_opts)), enqueueTick(enqueue_tick)
+        : id(ctx_id), kernel(std::move(k)), opts(std::move(launch_opts)),
+          enqueueTick(enqueue_tick)
     {
     }
 
@@ -79,8 +77,6 @@ class DispatchContext
      * copy.
      */
     const isa::Kernel kernel;
-    /** The CountdownRole of each pc of kernel, for its WGs' CUs. */
-    const std::vector<isa::CountdownRole> countdowns;
     const LaunchOptions opts;
 
     ContextState state = ContextState::Created;

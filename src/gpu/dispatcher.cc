@@ -81,7 +81,6 @@ Dispatcher::createContext(const isa::Kernel &k,
         wgs.push_back(std::make_unique<WorkGroup>(
             wg_id, ctx.kernel, enqueue_tick, static_cast<int>(i)));
         wgs.back()->ctxId = ctx_id;
-        wgs.back()->countdowns = ctx.countdowns;
         ctx.pendingFresh.push_back(wg_id);
     }
     return ctx_id;

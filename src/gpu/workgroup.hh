@@ -14,7 +14,6 @@
 
 #include <array>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "gpu/wavefront.hh"
@@ -65,11 +64,6 @@ class WorkGroup
     const isa::Kernel *kernel;
     int ctxId = 0;               //!< owning DispatchContext
     int cuId = -1;               //!< resident CU, -1 otherwise
-    /**
-     * The CountdownRole of each pc of kernel: its DispatchContext's
-     * table, empty for a WG made outside a dispatcher.
-     */
-    std::span<const isa::CountdownRole> countdowns;
     /// @}
 
     /**

@@ -28,24 +28,6 @@ isBranch(const Instr &instr)
            instr.op == Opcode::Br;
 }
 
-std::vector<CountdownRole>
-countdownRoles(const std::vector<Instr> &code)
-{
-    std::vector<CountdownRole> roles(code.size(), CountdownRole::None);
-    for (std::size_t pc = 0; pc + 1 < code.size(); ++pc) {
-        const Instr &sub = code[pc];
-        const Instr &bnz = code[pc + 1];
-        if (sub.op == Opcode::Sub && sub.useImm && sub.imm == 1 &&
-            sub.dst == sub.src0 && bnz.op == Opcode::Bnz &&
-            bnz.src0 == sub.dst &&
-            bnz.imm == static_cast<std::int64_t>(pc)) {
-            roles[pc] = CountdownRole::Sub;
-            roles[pc + 1] = CountdownRole::Branch;
-        }
-    }
-    return roles;
-}
-
 std::string
 opcodeName(Opcode op)
 {

@@ -108,8 +108,32 @@ enum class CountdownRole : std::uint8_t
     Branch,  //!< the bnz
 };
 
-/** The CountdownRole of each instruction of @p code, by pc. */
-std::vector<CountdownRole> countdownRoles(const std::vector<Instr> &code);
+/**
+ * True when @p code[sub] and the instruction after it are the
+ * countdown `subi r, r, 1; bnz r, sub`.
+ */
+inline bool
+isCountdownPair(const std::vector<Instr> &code, std::size_t sub)
+{
+    const Instr &s = code[sub];
+    const Instr &b = code[sub + 1];
+    return s.op == Opcode::Sub && s.useImm && s.imm == 1 &&
+           s.dst == s.src0 && b.op == Opcode::Bnz && b.src0 == s.dst &&
+           b.imm == static_cast<std::int64_t>(sub);
+}
+
+/** The CountdownRole of @p code[pc], read from it and its neighbour. */
+inline CountdownRole
+countdownRole(const std::vector<Instr> &code, std::size_t pc)
+{
+    const Opcode op = code[pc].op;
+    if (op == Opcode::Sub && pc + 1 < code.size() &&
+        isCountdownPair(code, pc))
+        return CountdownRole::Sub;
+    if (op == Opcode::Bnz && pc > 0 && isCountdownPair(code, pc - 1))
+        return CountdownRole::Branch;
+    return CountdownRole::None;
+}
 
 /** Render one instruction as assembly-like text. */
 std::string disassemble(const Instr &instr);

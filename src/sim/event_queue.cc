@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/logging.hh"
 
@@ -134,16 +133,8 @@ EventQueue::runNext(Tick limit)
             return false;
         advanceTo(far.front()->_when);
     }
-    // From curTick()'s bucket onwards, wrapping, buckets run in time
-    // order: the first busy one holds the earliest event.
-    const unsigned start = bucketOf(_curTick);
-    unsigned word = start / 64;
-    std::uint64_t bits = busy[word] & (~std::uint64_t{0} << (start % 64));
-    while (bits == 0) {
-        word = (word + 1) % busy.size();
-        bits = busy[word];
-    }
-    const unsigned b = word * 64 + std::countr_zero(bits);
+    // The first busy bucket from curTick()'s holds the earliest event.
+    const unsigned b = firstBusyFrom(bucketOf(_curTick));
     Bucket &bucket = buckets[b];
     Event *event = bucket.head;
     if (event->_when > limit)
@@ -151,7 +142,7 @@ EventQueue::runNext(Tick limit)
     bucket.head = event->_next;
     if (bucket.head == nullptr) {
         bucket.tail = nullptr;
-        busy[word] &= ~(std::uint64_t{1} << (b % 64));
+        busy[b / 64] &= ~(std::uint64_t{1} << (b % 64));
     }
     advanceTo(event->_when);
     event->_scheduled = false;
@@ -184,21 +175,11 @@ EventQueue::nextAfterNow() const
         if (event->_when > _curTick)
             return event->_when;
     }
-    // The buckets after start's, wrapping, run in time order, and any
-    // of them is due before every far event.
-    const unsigned from = (start + 1) % numBuckets;
-    unsigned word = from / 64;
-    std::uint64_t bits = busy[word] & (~std::uint64_t{0} << (from % 64));
-    for (std::size_t n = 0; n <= busy.size(); ++n) {
-        if (bits != 0) {
-            const unsigned b = word * 64 + std::countr_zero(bits);
-            if (b != start)
-                return buckets[b].head->_when;
-            break;  // round to start's bucket: no other is busy
-        }
-        word = (word + 1) % busy.size();
-        bits = busy[word];
-    }
+    // Any other busy bucket is due before every far event; start's,
+    // found again after the wrap, holds nothing later than now.
+    const unsigned b = firstBusyFrom((start + 1) % numBuckets);
+    if (b != start && b != numBuckets)
+        return buckets[b].head->_when;
     return far.empty() ? maxTick : far.front()->_when;
 }
 

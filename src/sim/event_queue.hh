@@ -44,6 +44,7 @@
 #define IFP_SIM_EVENT_QUEUE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -227,6 +228,24 @@ class EventQueue
     void insert(Event *event, Tick when);
     /** Move the far events due before wheelEnd() to their buckets. */
     void migrate();
+
+    /**
+     * The first busy bucket from @p b on, wrapping; numBuckets when
+     * none is. From curTick()'s bucket on, buckets run in time order.
+     */
+    unsigned
+    firstBusyFrom(unsigned b) const
+    {
+        unsigned word = b / 64;
+        std::uint64_t bits = busy[word] & (~std::uint64_t{0} << (b % 64));
+        for (std::size_t n = 0; n <= busy.size(); ++n) {
+            if (bits != 0)
+                return word * 64 + std::countr_zero(bits);
+            word = (word + 1) % busy.size();
+            bits = busy[word];
+        }
+        return numBuckets;
+    }
 
     /** Move time to @p when, and the far events it brings in range. */
     void

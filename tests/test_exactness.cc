@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,7 +33,20 @@ struct Outcome
 {
     core::RunResult result;
     std::string stats;
+    /** Each WG's lifetime ticks by stall reason, in WG order. */
+    std::vector<std::array<sim::Tick, sim::numStallReasons>> wgStalls;
 };
+
+/** Record what a finished run left in @p sys. */
+void
+record(core::GpuSystem &sys, Outcome &out)
+{
+    std::ostringstream os;
+    sys.dumpStats(os);
+    out.stats = os.str();
+    for (const auto &wg : sys.dispatcher().workgroups())
+        out.wgStalls.push_back(wg->reasonTicks);
+}
 
 Outcome
 runCell(const std::string &workload, Policy policy, bool fig15,
@@ -49,11 +63,7 @@ runCell(const std::string &workload, Policy policy, bool fig15,
     exp.runCfg.schedOracle = oracle;
     Outcome out;
     out.result = harness::runExperimentWithSystem(
-        exp, [&out](core::GpuSystem &sys) {
-            std::ostringstream os;
-            sys.dumpStats(os);
-            out.stats = os.str();
-        });
+        exp, [&out](core::GpuSystem &sys) { record(sys, out); });
     return out;
 }
 
@@ -69,6 +79,7 @@ expectSameRun(const Outcome &stock, const Outcome &steered,
               steered.result.wgCycleBreakdown)
         << what;
     EXPECT_EQ(stock.stats, steered.stats) << what;
+    EXPECT_EQ(stock.wgStalls, steered.wgStalls) << what;
 }
 
 TEST(Coast, SpmboUnderBaselineMatchesThePerCycleRun)
@@ -107,26 +118,30 @@ TEST(Coast, BarrierSkewMatchesThePerCycleRunUnderEveryFig14Policy)
             const Outcome steered =
                 runCell(workload, policy, false, &oracle);
             expectSameRun(stock, steered, what);
+            // Every cell coasts through its startup skew.
+            EXPECT_LT(stock.result.hostEvents, steered.result.hostEvents)
+                << what;
         }
     }
 }
 
 /**
  * Countdowns at mixed phases: each wavefront enters the loop at its
- * subi or at its bnz, with a counter of -1..5 (a counter <= 0 at the
- * subi, or < 0 at the bnz, never exits), then loads (an event that
- * ends a window), counts down again from a counter of its own and
- * stores.
+ * subi or at its bnz, with a counter of @p lowest..lowest+6 (a counter
+ * <= 0 at the subi, or < 0 at the bnz, never exits), then loads (an
+ * event that ends a window), counts down again from a counter of its
+ * own and stores.
  */
 isa::Kernel
-mixedCountdowns(unsigned wi_per_wg, unsigned num_wgs, mem::Addr buf)
+mixedCountdowns(unsigned wi_per_wg, unsigned num_wgs, std::int64_t lowest,
+                mem::Addr buf)
 {
     isa::KernelBuilder b;
     b.muli(16, isa::rWgId, 5);
     b.muli(17, isa::rWfId, 3);
     b.add(16, 16, 17);
     b.remi(16, 16, 7);
-    b.subi(16, 16, 1);
+    b.addi(16, 16, lowest);
     b.add(17, isa::rWgId, isa::rWfId);
     b.andi(17, 17, 1);
     isa::Label at_branch = b.label();
@@ -159,7 +174,8 @@ mixedCountdowns(unsigned wi_per_wg, unsigned num_wgs, mem::Addr buf)
 }
 
 Outcome
-runMixed(unsigned wi_per_wg, unsigned num_wgs, sim::SchedOracle *oracle)
+runMixed(unsigned wi_per_wg, unsigned num_wgs, std::int64_t lowest,
+         sim::SchedOracle *oracle)
 {
     core::RunConfig cfg;
     cfg.gpu.numCus = 2;
@@ -170,26 +186,32 @@ runMixed(unsigned wi_per_wg, unsigned num_wgs, sim::SchedOracle *oracle)
     core::GpuSystem sys(cfg);
     const mem::Addr buf = sys.allocate(64 * 64);
     Outcome out;
-    out.result = sys.run(mixedCountdowns(wi_per_wg, num_wgs, buf));
-    std::ostringstream os;
-    sys.dumpStats(os);
-    out.stats = os.str();
+    out.result = sys.run(mixedCountdowns(wi_per_wg, num_wgs, lowest, buf));
+    record(sys, out);
     return out;
 }
 
 TEST(Coast, MixedPhasesMatchThePerCycleRun)
 {
     // 1-4 wavefronts per WG and up to 8 WGs per 2-SIMD CU: 1-4 and
-    // more candidates per SIMD.
-    for (const auto &[wi, wgs] :
-         std::vector<std::pair<unsigned, unsigned>>{
-             {64, 1}, {64, 4}, {128, 3}, {192, 2}, {256, 4}}) {
-        const Outcome stock = runMixed(wi, wgs, nullptr);
-        explore::PreferredOracle oracle;
-        const Outcome steered = runMixed(wi, wgs, &oracle);
-        expectSameRun(stock, steered,
-                      std::to_string(wi) + "x" + std::to_string(wgs));
-        EXPECT_GT(stock.result.instructions, 0u);
+    // more candidates per SIMD. With counters from -1 some never exit
+    // and the run ends at its deadlock window; from 1 every one does.
+    for (const std::int64_t lowest : {-1, 1}) {
+        for (const auto &[wi, wgs] :
+             std::vector<std::pair<unsigned, unsigned>>{
+                 {64, 1}, {64, 4}, {128, 3}, {192, 2}, {256, 4}}) {
+            const std::string what = std::to_string(wi) + "x" +
+                                     std::to_string(wgs) + " from " +
+                                     std::to_string(lowest);
+            const Outcome stock = runMixed(wi, wgs, lowest, nullptr);
+            explore::PreferredOracle oracle;
+            const Outcome steered = runMixed(wi, wgs, lowest, &oracle);
+            expectSameRun(stock, steered, what);
+            EXPECT_EQ(stock.result.completed, lowest > 0) << what;
+            EXPECT_GT(stock.result.instructions, 0u) << what;
+            EXPECT_LT(stock.result.hostEvents, steered.result.hostEvents)
+                << what;
+        }
     }
 }
 
