@@ -412,10 +412,8 @@ ComputeUnit::coast()
     // instructions touch only registers and pcs and schedule nothing,
     // and its CU's tick re-arms one cycle on. A window of n >= 2 also
     // puts every armed peer's tick at now (one armed for the next
-    // cycle would be the next event).
-    sim::Cycles n = countdownCycles();
-    if (n < 2)
-        return false;
+    // cycle would be the next event). The cheapest bound goes first:
+    // most attempts end at it, behind a peer that already ticked.
     sim::EventQueue &eq = eventq();
     const sim::Tick now = curTick();
     const sim::Cycles cycle = now / sim::gpuClockPeriod;
@@ -425,8 +423,11 @@ ComputeUnit::coast()
     const sim::Tick next = eq.nextAfterNow();
     const sim::Cycles next_edge = next / sim::gpuClockPeriod +
                                   (next % sim::gpuClockPeriod != 0);
-    n = std::min({n, next_edge - cycle,
-                  eq.limit() / sim::gpuClockPeriod - cycle});
+    sim::Cycles n =
+        std::min(next_edge, eq.limit() / sim::gpuClockPeriod) - cycle;
+    if (n < 2)
+        return false;
+    n = std::min(n, countdownCycles());
     if (n < 2)
         return false;
     std::size_t armed = 0;
